@@ -35,10 +35,12 @@ inline const CpuFeatures& cpu_features() {
 
 /// True when the AVX2+FMA kernels may run: hardware support present and the
 /// SPTX_NO_SIMD kill-switch unset in the current runtime-config snapshot.
-/// Re-evaluated per call — one lock-free atomic shared_ptr load and a
-/// pre-resolved field read (RuntimeConfig::hot()), so a programmatically
-/// installed snapshot takes effect without a process restart and the SpMM
-/// dispatch path never touches a mutex or allocates.
+/// Re-evaluated per call — an acquire load of the config version, a
+/// thread-local compare and a pre-resolved field read (RuntimeConfig::hot()),
+/// with no write to shared memory — so a programmatically installed snapshot
+/// takes effect without a process restart and the dispatch path never
+/// touches a mutex, a refcount or the allocator. Loops over many rows still
+/// resolve it once per call and pass it to the simd:: primitives.
 inline bool simd_enabled() {
   if (config::current()->hot().no_simd) return false;
   return cpu_features().avx2 && cpu_features().fma;

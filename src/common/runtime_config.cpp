@@ -392,12 +392,16 @@ std::string RuntimeConfig::to_json() const {
 namespace config {
 
 namespace {
-// The SpMM dispatch consults current() on every call from every worker and
-// serving thread, so the fast path must not serialize threads: each thread
-// caches the snapshot in a thread_local, validated against a relaxed
-// version counter that install() bumps. Steady state is one atomic load —
-// no mutex, no atomic<shared_ptr> spin-lock, no refcount ping-pong. The
-// mutex guards only the (rare) install / first-use slow path.
+// The SIMD, fused-kernel, SpMM and thread-pool dispatch consult current()
+// from every pool and serving thread, many times per batch, so the fast
+// path must not write shared memory: each thread caches the snapshot in a
+// thread_local, validated against a version counter that install() bumps,
+// and current() hands out that slot by reference. Steady state is one
+// acquire load of a counter that only install() writes plus a thread-local
+// compare — no mutex, no atomic<shared_ptr> spin-lock, and no shared_ptr
+// copy (whose refcount increment/decrement on the one control block would
+// bounce its cache line between cores on every call). The mutex guards only
+// the (rare) install / first-use slow path.
 Mutex g_mu;
 std::shared_ptr<const RuntimeConfig> g_snapshot SPTX_GUARDED_BY(g_mu);
 std::atomic<std::uint64_t> g_version{0};          // 0 = not yet initialised
@@ -408,7 +412,7 @@ struct TlsCache {
 };
 }  // namespace
 
-std::shared_ptr<const RuntimeConfig> current() {
+const std::shared_ptr<const RuntimeConfig>& current() {
   thread_local TlsCache cache;
   const std::uint64_t v = g_version.load(std::memory_order_acquire);
   if (cache.snap && cache.version == v) return cache.snap;

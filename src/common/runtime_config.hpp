@@ -155,7 +155,17 @@ namespace config {
 /// The process-wide snapshot consulted by call sites with no Engine in
 /// scope (kernel dispatch, the legacy free functions). Initialised from the
 /// environment on first use.
-std::shared_ptr<const RuntimeConfig> current();
+///
+/// Returns this thread's cached slot by reference, so the steady-state read
+/// is one acquire load of the version counter plus a thread-local compare —
+/// no refcount traffic on the snapshot's shared control block. The slot is
+/// re-pointed by the next current() on this thread after an install(), and
+/// that can free the snapshot it referred to. Use the result within one
+/// expression (`config::current()->hot().no_simd`); to hold the snapshot
+/// across a call that may install(), copy the shared_ptr
+/// (`const auto snap = config::current();`) — never bind the result, or
+/// `*config::current()`, to a reference.
+const std::shared_ptr<const RuntimeConfig>& current();
 
 /// Replace the process-wide snapshot (Engine construction, tests). The old
 /// snapshot stays valid for readers that already hold it.

@@ -2,11 +2,12 @@
 //
 // Each primitive has an AVX2/FMA implementation (compiled via a per-function
 // target attribute, so it exists even in portable builds) and a scalar
-// fallback; the public wrappers dispatch once per call on the cached cpuid
-// probe in cpu_features.hpp. The SpMM engine keeps its own fused kernels in
-// spmm.cpp (they need whole-row register blocking); these helpers serve the
-// elementwise hot paths: optimizer axpy, Matrix arithmetic, and row
-// normalization.
+// fallback; the public wrappers dispatch on simd_enabled() (cpuid probe plus
+// the SPTX_NO_SIMD knob, cpu_features.hpp), which the caller passes in as
+// `vec` — so a loop resolves the dispatch once rather than once per row.
+// The SpMM engine keeps its own fused kernels in spmm.cpp (they need
+// whole-row register blocking); these helpers serve the elementwise hot
+// paths: optimizer axpy, Matrix arithmetic, and row normalization.
 #pragma once
 
 #include <cmath>
@@ -172,57 +173,72 @@ SPTX_TARGET_AVX2 inline float dot_avx2(const float* a, const float* b,
 }  // namespace detail
 
 /// Σ x[j]² over d contiguous floats.
-inline float squared_norm(const float* x, std::int64_t d) {
+inline float squared_norm(const float* x, std::int64_t d, bool vec) {
 #ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::sqnorm_avx2(x, d);
+  if (vec) return detail::sqnorm_avx2(x, d);
+#else
+  (void)vec;
 #endif
   return detail::sqnorm_scalar(x, d);
 }
 
 /// x *= s elementwise.
-inline void scale(float* x, std::int64_t d, float s) {
+inline void scale(float* x, std::int64_t d, float s, bool vec) {
 #ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::scale_avx2(x, d, s);
+  if (vec) return detail::scale_avx2(x, d, s);
+#else
+  (void)vec;
 #endif
   detail::scale_scalar(x, d, s);
 }
 
 /// y += a · x (the axpy core).
-inline void axpy(float* y, const float* x, float a, std::int64_t d) {
+inline void axpy(float* y, const float* x, float a, std::int64_t d,
+                 bool vec) {
 #ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::axpy_avx2(y, x, a, d);
+  if (vec) return detail::axpy_avx2(y, x, a, d);
+#else
+  (void)vec;
 #endif
   detail::axpy_scalar(y, x, a, d);
 }
 
 /// y += x.
-inline void add(float* y, const float* x, std::int64_t d) {
+inline void add(float* y, const float* x, std::int64_t d, bool vec) {
 #ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::add_avx2(y, x, d);
+  if (vec) return detail::add_avx2(y, x, d);
+#else
+  (void)vec;
 #endif
   detail::add_scalar(y, x, d);
 }
 
 /// y -= x.
-inline void sub(float* y, const float* x, std::int64_t d) {
+inline void sub(float* y, const float* x, std::int64_t d, bool vec) {
 #ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::sub_avx2(y, x, d);
+  if (vec) return detail::sub_avx2(y, x, d);
+#else
+  (void)vec;
 #endif
   detail::sub_scalar(y, x, d);
 }
 
 /// y *= x elementwise.
-inline void mul(float* y, const float* x, std::int64_t d) {
+inline void mul(float* y, const float* x, std::int64_t d, bool vec) {
 #ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::mul_avx2(y, x, d);
+  if (vec) return detail::mul_avx2(y, x, d);
+#else
+  (void)vec;
 #endif
   detail::mul_scalar(y, x, d);
 }
 
 /// Σ a[j]·b[j].
-inline float dot(const float* a, const float* b, std::int64_t d) {
+inline float dot(const float* a, const float* b, std::int64_t d, bool vec) {
 #ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::dot_avx2(a, b, d);
+  if (vec) return detail::dot_avx2(a, b, d);
+#else
+  (void)vec;
 #endif
   return detail::dot_scalar(a, b, d);
 }

@@ -368,9 +368,10 @@ DdpResult train_ddp(
             profiling::count_event(profiling::Counter::kDdpDenseReduces);
           } else {
             const index_t cols = g0.cols();
+            const bool vec = simd_enabled();
             for (std::size_t k = 0; k < pg.rows.size(); ++k)
               simd::add(g0.row(pg.rows[k]),
-                        pg.values.row(static_cast<index_t>(k)), cols);
+                        pg.values.row(static_cast<index_t>(k)), cols, vec);
             profiling::count_event(
                 profiling::Counter::kDdpAllReduceRows,
                 static_cast<std::int64_t>(pg.rows.size()));
@@ -420,11 +421,12 @@ DdpResult train_ddp(
             break;
         }
         const index_t cols = g0.cols();
+        const bool vec = simd_enabled();
         for (int w = 0; w < p; ++w) {
           Matrix& v = all_params[static_cast<std::size_t>(w)][i]
                           .mutable_value();
           for (index_t row : *rows)
-            simd::axpy(v.row(row), g0.row(row), -config.lr, cols);
+            simd::axpy(v.row(row), g0.row(row), -config.lr, cols, vec);
         }
         for (index_t row : *rows)
           std::memset(g0.row(row), 0,
@@ -484,7 +486,8 @@ DdpResult train_ddp(
 DdpResult train_ddp(
     const std::function<std::unique_ptr<models::KgeModel>(Rng&)>& make_model,
     const kg::TripletSource& data, const DdpConfig& config) {
-  return train_ddp(make_model, data, config, *config::current());
+  const auto snapshot = config::current();  // held across the whole run
+  return train_ddp(make_model, data, config, *snapshot);
 }
 
 double ScalingModel::predict_seconds(int p, int epochs) const {

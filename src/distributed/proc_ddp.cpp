@@ -407,6 +407,7 @@ void apply_step(std::string_view payload, Replica& rep, float lr,
                       << num_params << " != " << rep.params.size());
   std::vector<float> scratch;
   std::vector<index_t> rows;
+  const bool vec = simd_enabled();
   for (std::uint32_t i = 0; i < num_params; ++i) {
     const std::uint32_t kind = r.u32();
     const index_t nrows = r.i64();
@@ -431,7 +432,7 @@ void apply_step(std::string_view payload, Replica& rep, float lr,
             r.raw(static_cast<std::size_t>(cols) * sizeof(float));
         std::memcpy(scratch.data(), raw.data(), raw.size());
         simd::axpy(v.row(rows[static_cast<std::size_t>(k)]), scratch.data(),
-                   -lr, cols);
+                   -lr, cols, vec);
       }
     }
   }
@@ -1204,9 +1205,10 @@ DdpResult Supervisor::run() {
             profiling::count_event(profiling::Counter::kDdpDenseReduces);
           } else {
             const index_t cols = g0.cols();
+            const bool vec = simd_enabled();
             for (std::size_t k = 0; k < pg.rows.size(); ++k)
               simd::add(g0.row(pg.rows[k]),
-                        pg.values.row(static_cast<index_t>(k)), cols);
+                        pg.values.row(static_cast<index_t>(k)), cols, vec);
             profiling::count_event(
                 profiling::Counter::kDdpAllReduceRows,
                 static_cast<std::int64_t>(pg.rows.size()));
@@ -1238,8 +1240,9 @@ DdpResult Supervisor::run() {
         }
         Matrix& v = master_.params[i].mutable_value();
         const index_t cols = g0.cols();
+        const bool vec = simd_enabled();
         for (index_t row : *support.rows[i])
-          simd::axpy(v.row(row), g0.row(row), -res_.lr, cols);
+          simd::axpy(v.row(row), g0.row(row), -res_.lr, cols, vec);
         for (index_t row : *support.rows[i])
           std::memset(g0.row(row), 0,
                       static_cast<std::size_t>(cols) * sizeof(float));
@@ -1315,7 +1318,8 @@ DdpResult train_ddp_procs(const models::ModelSpec& spec,
 DdpResult train_ddp_procs(const models::ModelSpec& spec,
                           const kg::TripletSource& data,
                           const DdpConfig& config) {
-  return train_ddp_procs(spec, data, config, *config::current());
+  const auto snapshot = config::current();  // held across the whole run
+  return train_ddp_procs(spec, data, config, *snapshot);
 }
 
 int ddp_worker_main(const WorkerEndpoint& endpoint) {

@@ -587,24 +587,6 @@ inline float l1_norm(const float* x, index_t d, bool simd) {
   return l1_norm_s(x, d);
 }
 
-inline float sq_norm(const float* x, index_t d, bool simd) {
-#ifdef SPTX_SIMD_X86
-  if (simd) return simd::detail::sqnorm_avx2(x, d);
-#else
-  (void)simd;
-#endif
-  return simd::detail::sqnorm_scalar(x, d);
-}
-
-inline float dot(const float* a, const float* b, index_t d, bool simd) {
-#ifdef SPTX_SIMD_X86
-  if (simd) return simd::detail::dot_avx2(a, b, d);
-#else
-  (void)simd;
-#endif
-  return simd::detail::dot_scalar(a, b, d);
-}
-
 /// dL/dscore → dL/du scale for an L2-norm tail (row_l2's backward with its
 /// 1e-12 clamp). The L1 tail has no scale — sign_scale applies the gradient.
 inline float l2_scale(float score, float g) {
@@ -812,7 +794,7 @@ void transh_forward(std::span<const Triplet> batch, const Matrix& entities,
     const float* dr = transfers.row(t.relation);
     const float wdot = diff_dot(w, h, tl, d, simd);
     transh_u(h, tl, dr, w, wdot, u, d, simd);
-    scores[i] = norm == Norm::kL2 ? std::sqrt(sq_norm(u, d, simd))
+    scores[i] = norm == Norm::kL2 ? std::sqrt(simd::squared_norm(u, d, simd))
                                   : l1_norm(u, d, simd);
   }
   profiling::count_flops(9 * static_cast<std::int64_t>(batch.size()) * d);
@@ -835,22 +817,22 @@ void transh_backward(std::span<const Triplet> batch, const Matrix& entities,
     const float wdot = diff_dot(w, h, tl, d, simd);
     transh_u(h, tl, dr, w, wdot, u, d, simd);
     if (norm == Norm::kL2) {
-      simd::scale(u, d, l2_scale(scores[i], gscores[i]));  // du = s·u
+      simd::scale(u, d, l2_scale(scores[i], gscores[i]), simd);  // du = s·u
     } else {
       sign_scale(u, gscores[i], d, simd);  // du = g·sign(u)
     }
-    const float a = dot(u, w, d, simd);  // duᵀw
+    const float a = simd::dot(u, w, d, simd);  // duᵀw
     float* dh = dentities.row(t.head);
     float* dt = dentities.row(t.tail);
     // d(h − t) = du − (duᵀw)·w   [scale_rows + row_dot backward, fused]
-    simd::add(dh, u, d);
-    simd::axpy(dh, w, -a, d);
-    simd::sub(dt, u, d);
-    simd::axpy(dt, w, a, d);
+    simd::add(dh, u, d, simd);
+    simd::axpy(dh, w, -a, d, simd);
+    simd::sub(dt, u, d, simd);
+    simd::axpy(dt, w, a, d, simd);
     // dd_r = du; dw = −wdot·du − (duᵀw)·(h − t)
-    simd::add(dtransfers.row(t.relation), u, d);
+    simd::add(dtransfers.row(t.relation), u, d, simd);
     float* dw = dnormals.row(t.relation);
-    simd::axpy(dw, u, -wdot, d);
+    simd::axpy(dw, u, -wdot, d, simd);
     diff_axpy(dw, h, tl, -a, d, simd);
   }
   profiling::count_flops(20 * static_cast<std::int64_t>(batch.size()) * d);
@@ -873,9 +855,9 @@ void transd_forward(std::span<const Triplet> batch, const Matrix& entities,
     const float* tp = entity_proj.row(t.tail);
     const float* r = relations.row(t.relation);
     const float* rp = relation_proj.row(t.relation);
-    const float s = dot(hp, h, d, simd) - dot(tp, tl, d, simd);
+    const float s = simd::dot(hp, h, d, simd) - simd::dot(tp, tl, d, simd);
     transd_u(h, tl, r, rp, s, u, d, simd);
-    scores[i] = norm == Norm::kL2 ? std::sqrt(sq_norm(u, d, simd))
+    scores[i] = norm == Norm::kL2 ? std::sqrt(simd::squared_norm(u, d, simd))
                                   : l1_norm(u, d, simd);
   }
   profiling::count_flops(11 * static_cast<std::int64_t>(batch.size()) * d);
@@ -899,24 +881,24 @@ void transd_backward(std::span<const Triplet> batch, const Matrix& entities,
     const float* tp = entity_proj.row(t.tail);
     const float* r = relations.row(t.relation);
     const float* rp = relation_proj.row(t.relation);
-    const float s = dot(hp, h, d, simd) - dot(tp, tl, d, simd);
+    const float s = simd::dot(hp, h, d, simd) - simd::dot(tp, tl, d, simd);
     transd_u(h, tl, r, rp, s, u, d, simd);
     if (norm == Norm::kL2) {
-      simd::scale(u, d, l2_scale(scores[i], gscores[i]));
+      simd::scale(u, d, l2_scale(scores[i], gscores[i]), simd);
     } else {
       sign_scale(u, gscores[i], d, simd);
     }
-    const float a = dot(u, rp, d, simd);  // dL/ds = duᵀr_p
+    const float a = simd::dot(u, rp, d, simd);  // dL/ds = duᵀr_p
     float* dh = dentities.row(t.head);
     float* dt = dentities.row(t.tail);
-    simd::add(dh, u, d);
-    simd::axpy(dh, hp, a, d);   // ∂s/∂h = h_p
-    simd::sub(dt, u, d);
-    simd::axpy(dt, tp, -a, d);  // ∂s/∂t = −t_p
-    simd::axpy(dentity_proj.row(t.head), h, a, d);
-    simd::axpy(dentity_proj.row(t.tail), tl, -a, d);
-    simd::add(drelations.row(t.relation), u, d);
-    simd::axpy(drelation_proj.row(t.relation), u, s, d);
+    simd::add(dh, u, d, simd);
+    simd::axpy(dh, hp, a, d, simd);   // ∂s/∂h = h_p
+    simd::sub(dt, u, d, simd);
+    simd::axpy(dt, tp, -a, d, simd);  // ∂s/∂t = −t_p
+    simd::axpy(dentity_proj.row(t.head), h, a, d, simd);
+    simd::axpy(dentity_proj.row(t.tail), tl, -a, d, simd);
+    simd::add(drelations.row(t.relation), u, d, simd);
+    simd::axpy(drelation_proj.row(t.relation), u, s, d, simd);
   }
   profiling::count_flops(24 * static_cast<std::int64_t>(batch.size()) * d);
 }

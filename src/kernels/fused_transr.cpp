@@ -262,20 +262,9 @@ inline void diff_into(const float* h, const float* t, float* x, index_t d,
 }
 
 inline float norm_of(const float* e, index_t d, Norm norm, bool simd) {
-  if (norm == Norm::kL2) {
-#ifdef SPTX_SIMD_X86
-    if (simd) return std::sqrt(simd::detail::sqnorm_avx2(e, d));
-#endif
-    return std::sqrt(simd::detail::sqnorm_scalar(e, d));
-  }
+  if (norm == Norm::kL2) return std::sqrt(simd::squared_norm(e, d, simd));
+  // L1 TransR is rare: one scalar loop over the short d_r row.
   float acc = 0.0f;
-#ifdef SPTX_SIMD_X86
-  if (simd) {
-    // Reuse the scalar loop for the short d_r tail; L1 TransR is rare.
-    for (index_t j = 0; j < d; ++j) acc += std::fabs(e[j]);
-    return acc;
-  }
-#endif
   for (index_t j = 0; j < d; ++j) acc += std::fabs(e[j]);
   return acc;
 }
@@ -325,7 +314,7 @@ void transr_forward(const sparse::RelationGroups* groups,
       for (index_t b = 0; b < count; ++b) matvec(mr, x[b], e[b], dr, de, simd);
     }
     for (index_t b = 0; b < count; ++b) {
-      simd::add(e[b], rrow, dr);  // + r
+      simd::add(e[b], rrow, dr, simd);  // + r
       scores[rows[b]] = norm_of(e[b], dr, norm, simd);
     }
   };
@@ -391,7 +380,7 @@ void transr_backward(const sparse::RelationGroups* groups,
         du[b] = dupanel.row(b);
         du_from_expr(expr_stash.row(i), du[b], dr, norm, scores[i],
                      gscores[i]);
-        simd::add(drel, du[b], dr);  // dr_rel += du
+        simd::add(drel, du[b], dr, simd);  // dr_rel += du
         dx[b] = dxpanel.row(b);
         std::fill(dx[b], dx[b] + de, 0.0f);
       }
@@ -408,15 +397,15 @@ void transr_backward(const sparse::RelationGroups* groups,
         for (index_t b = 0; b < count; ++b) {
           for (index_t p = 0; p < dr; ++p) {
             const float c = du[b][p];
-            simd::axpy(dmr + p * de, x[b], c, de);
-            simd::axpy(dx[b], mr + p * de, c, de);
+            simd::axpy(dmr + p * de, x[b], c, de, simd);
+            simd::axpy(dx[b], mr + p * de, c, de, simd);
           }
         }
       }
       for (index_t b = 0; b < count; ++b) {
         const Triplet& t = batch[static_cast<std::size_t>(rows[b])];
-        simd::add(dentities.row(t.head), dx[b], de);
-        simd::sub(dentities.row(t.tail), dx[b], de);
+        simd::add(dentities.row(t.head), dx[b], de, simd);
+        simd::sub(dentities.row(t.tail), dx[b], de, simd);
       }
     }
   }

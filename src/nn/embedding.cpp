@@ -33,13 +33,14 @@ void EmbeddingTable::normalize_rows_prefix(index_t count) {
   // (each row is touched by exactly one task — no synchronization needed).
   Matrix& w = var_.mutable_value();
   const index_t d = w.cols();
+  const bool vec = simd_enabled();
   runtime::parallel_for(
       0, count,
       [&](index_t i) {
         float* row = w.row(i);
-        const float sq = simd::squared_norm(row, d);
+        const float sq = simd::squared_norm(row, d, vec);
         if (sq <= 0.0f) return;
-        simd::scale(row, d, 1.0f / std::sqrt(sq));
+        simd::scale(row, d, 1.0f / std::sqrt(sq), vec);
       },
       /*grain=*/1024);
 }

@@ -27,14 +27,15 @@ namespace {
 
 /// Index of the L2-nearest centroid via the expansion argmin ||x − c||² =
 /// argmax ⟨x, c⟩ − ½||c||² (centroid norms precomputed once per pass).
+/// `vec` is simd_enabled(), resolved once per pass by the caller.
 index_t nearest_centroid(const float* x, const Matrix& centroids,
-                         const std::vector<float>& half_sqnorm) {
+                         const std::vector<float>& half_sqnorm, bool vec) {
   const index_t k = centroids.rows();
   const index_t d = centroids.cols();
   index_t best = 0;
-  float best_score = simd::dot(x, centroids.row(0), d) - half_sqnorm[0];
+  float best_score = simd::dot(x, centroids.row(0), d, vec) - half_sqnorm[0];
   for (index_t j = 1; j < k; ++j) {
-    const float s = simd::dot(x, centroids.row(j), d) - half_sqnorm[j];
+    const float s = simd::dot(x, centroids.row(j), d, vec) - half_sqnorm[j];
     if (s > best_score) {
       best_score = s;
       best = j;
@@ -43,11 +44,11 @@ index_t nearest_centroid(const float* x, const Matrix& centroids,
   return best;
 }
 
-std::vector<float> half_squared_norms(const Matrix& centroids) {
+std::vector<float> half_squared_norms(const Matrix& centroids, bool vec) {
   std::vector<float> out(static_cast<std::size_t>(centroids.rows()));
   for (index_t j = 0; j < centroids.rows(); ++j)
     out[static_cast<std::size_t>(j)] =
-        0.5f * simd::squared_norm(centroids.row(j), centroids.cols());
+        0.5f * simd::squared_norm(centroids.row(j), centroids.cols(), vec);
   return out;
 }
 
@@ -67,6 +68,7 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const Matrix& table,
         runtime::TaskClass::kAnnBuild);
   const index_t n = num_entities;
   const index_t d = table.cols();
+  const bool vec = simd_enabled();
   index_t k = options.k_lists > 0
                   ? options.k_lists
                   : static_cast<index_t>(
@@ -104,19 +106,21 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const Matrix& table,
   Matrix sums(k, d);
   std::vector<index_t> counts(static_cast<std::size_t>(k));
   for (int iter = 0; iter < std::max(options.iterations, 1); ++iter) {
-    const std::vector<float> half = half_squared_norms(centroids);
+    const std::vector<float> half = half_squared_norms(centroids, vec);
     runtime::parallel_for(
         0, sample_size,
         [&](index_t i) {
-          assign[static_cast<std::size_t>(i)] = nearest_centroid(
-              table.row(sample[static_cast<std::size_t>(i)]), centroids, half);
+          assign[static_cast<std::size_t>(i)] =
+              nearest_centroid(table.row(sample[static_cast<std::size_t>(i)]),
+                               centroids, half, vec);
         },
         /*grain=*/256);
     std::fill(sums.data(), sums.data() + sums.size(), 0.0f);
     std::fill(counts.begin(), counts.end(), index_t{0});
     for (index_t i = 0; i < sample_size; ++i) {
       const index_t c = assign[static_cast<std::size_t>(i)];
-      simd::add(sums.row(c), table.row(sample[static_cast<std::size_t>(i)]), d);
+      simd::add(sums.row(c), table.row(sample[static_cast<std::size_t>(i)]), d,
+                vec);
       ++counts[static_cast<std::size_t>(c)];
     }
     for (index_t j = 0; j < k; ++j) {
@@ -140,12 +144,12 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const Matrix& table,
   // stable placement loop.
   std::vector<index_t> full(static_cast<std::size_t>(n));
   {
-    const std::vector<float> half = half_squared_norms(centroids);
+    const std::vector<float> half = half_squared_norms(centroids, vec);
     runtime::parallel_for(
         0, n,
         [&](index_t i) {
           full[static_cast<std::size_t>(i)] =
-              nearest_centroid(table.row(i), centroids, half);
+              nearest_centroid(table.row(i), centroids, half, vec);
         },
         /*grain=*/256);
   }
@@ -172,6 +176,7 @@ int AnnIndex::probe(const float* q, const Probe& probe_geom, int nprobe,
                     index_t min_candidates, std::vector<index_t>& out) const {
   const index_t k = centroids_.rows();
   const index_t d = centroids_.cols();
+  const bool vec = simd_enabled();
   out.clear();
 
   // Rank every centroid under the family's probe metric; lower = better
@@ -181,7 +186,7 @@ int AnnIndex::probe(const float* q, const Probe& probe_geom, int nprobe,
     const float* c = centroids_.row(j);
     float s;
     if (probe_geom.inner_product) {
-      s = -simd::dot(q, c, d);
+      s = -simd::dot(q, c, d, vec);
     } else if (probe_geom.weights != nullptr) {
       float acc = 0.0f;
       for (index_t col = 0; col < d; ++col) {

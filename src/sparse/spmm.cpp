@@ -570,7 +570,7 @@ bool spmm_backward_uses_transpose(const Csr& a, index_t dim) {
   const std::int64_t work = a.nnz() * dim;
   bool use_transpose = runtime::num_threads() > 1 && work >= kParallelMinWork / 8 &&
                        work >= 8 * (a.nnz() + a.cols);
-  const auto snapshot = config::current();  // keeps hot() storage alive
+  const auto snapshot = config::current();  // copy: keeps `forced` alive
   const std::string& forced = snapshot->hot().spmm_backward;
   if (forced == "scatter") use_transpose = false;
   if (forced == "transpose") use_transpose = true;
@@ -607,12 +607,13 @@ void spmm_csr_transposed_accumulate(const Csr& a, const Matrix& g,
   }
   // Direct serial scatter (Appendix G without forming Aᵀ); g rows stream
   // sequentially, each nonzero does one vectorized axpy into its dX row.
+  const bool vec = simd_enabled();
   for (index_t i = 0; i < a.rows; ++i) {
     const float* grow = g.row(i);
     for (index_t k = a.row_ptr[static_cast<std::size_t>(i)];
          k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
       simd::axpy(dx.row(a.col_idx[static_cast<std::size_t>(k)]), grow,
-                 a.values[static_cast<std::size_t>(k)], d);
+                 a.values[static_cast<std::size_t>(k)], d, vec);
     }
   }
 }

@@ -142,31 +142,31 @@ void Matrix::fill_xavier(Rng& rng) {
 void Matrix::add_(const Matrix& o) {
   SPTX_CHECK(same_shape(o), "add_: " << shape_str() << " vs " << o.shape_str());
   profiling::count_flops(size());
-  simd::add(data_, o.data_, size());
+  simd::add(data_, o.data_, size(), simd_enabled());
 }
 
 void Matrix::sub_(const Matrix& o) {
   SPTX_CHECK(same_shape(o), "sub_: " << shape_str() << " vs " << o.shape_str());
   profiling::count_flops(size());
-  simd::sub(data_, o.data_, size());
+  simd::sub(data_, o.data_, size(), simd_enabled());
 }
 
 void Matrix::mul_(const Matrix& o) {
   SPTX_CHECK(same_shape(o), "mul_: " << shape_str() << " vs " << o.shape_str());
   profiling::count_flops(size());
-  simd::mul(data_, o.data_, size());
+  simd::mul(data_, o.data_, size(), simd_enabled());
 }
 
 void Matrix::scale_(float s) {
   profiling::count_flops(size());
-  simd::scale(data_, size(), s);
+  simd::scale(data_, size(), s, simd_enabled());
 }
 
 void Matrix::axpy_(float alpha, const Matrix& o) {
   SPTX_CHECK(same_shape(o),
              "axpy_: " << shape_str() << " vs " << o.shape_str());
   profiling::count_flops(2 * size());
-  simd::axpy(data_, o.data_, alpha, size());
+  simd::axpy(data_, o.data_, alpha, size(), simd_enabled());
 }
 
 void Matrix::scale_rows_(const Matrix& col) {
@@ -182,11 +182,12 @@ void Matrix::scale_rows_(const Matrix& col) {
 
 void Matrix::normalize_rows_l2_() {
   profiling::count_flops(3 * size());
+  const bool vec = simd_enabled();
   for (index_t i = 0; i < rows_; ++i) {
     float* r = row(i);
-    const float sq = simd::squared_norm(r, cols_);
+    const float sq = simd::squared_norm(r, cols_, vec);
     if (sq <= 0.0f) continue;
-    simd::scale(r, cols_, 1.0f / std::sqrt(sq));
+    simd::scale(r, cols_, 1.0f / std::sqrt(sq), vec);
   }
 }
 

@@ -514,7 +514,8 @@ TrainResult train(models::KgeModel& model, const TripletStore& data,
 TrainResult train(models::KgeModel& model, const TripletStore& data,
                   const TrainConfig& config,
                   const std::function<void(int, float)>& on_epoch) {
-  return train(model, data, config, *config::current(), on_epoch);
+  const auto snapshot = config::current();  // held: on_epoch may install()
+  return train(model, data, config, *snapshot, on_epoch);
 }
 
 }  // namespace sptx::train

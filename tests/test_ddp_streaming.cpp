@@ -9,8 +9,12 @@
 #include <malloc.h>
 #endif
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/distributed/ddp.hpp"
@@ -26,8 +30,32 @@ const char* const kAllModels[] = {"TransE",   "TransR",  "TransH", "TorusE",
                                   "TransD",   "TransA",  "TransC", "TransM",
                                   "DistMult", "ComplEx", "RotatE"};
 
+/// Per-process scratch directory. ctest runs this binary twice (the _pool4
+/// lane), possibly at once under -j; shared file names in TempDir() would
+/// let one process truncate a file the other has mmap'd (SIGBUS).
+const std::string& scratch_dir() {
+  static const std::string dir = [] {
+    std::string d = ::testing::TempDir() + "/sptx_ddp_streaming_" +
+                    std::to_string(::getpid());
+    std::filesystem::create_directories(d);
+    return d;
+  }();
+  return dir;
+}
+
+/// Removes scratch_dir() once every test has run.
+class ScratchDirCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(scratch_dir(), ec);
+  }
+};
+::testing::Environment* const kScratchDirCleanup =
+    ::testing::AddGlobalTestEnvironment(new ScratchDirCleanup);
+
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return scratch_dir() + "/" + name;
 }
 
 kg::Dataset small_dataset() {

@@ -278,6 +278,51 @@ class IncludeLayersRule(unittest.TestCase):
         self.assertIn("no layer assignment", found[0])
 
 
+class ConfigLifetimeRule(unittest.TestCase):
+    def test_flags_reference_bindings(self):
+        files = {"src/sparse/spmm.cpp":
+                 "const auto& rc = *config::current();\n"
+                 "auto& slot = config::current();\n"
+                 "const RuntimeConfig& cfg = *sptx::config::current();\n"
+                 "const std::string& k =\n"
+                 "    config::current()->hot().spmm_kernel;\n"}
+        with FixtureTree(files) as root:
+            found = lint(root, "config-lifetime")
+        self.assertEqual(len(found), 4)
+        self.assertTrue(all("config-lifetime" in f for f in found))
+        self.assertEqual([f.split(":")[1] for f in found],
+                         ["1", "2", "3", "5"])
+
+    def test_flags_temporary_passed_into_call(self):
+        files = {"src/train/trainer.cpp":
+                 "return train(model, data, cfg, *config::current(), cb);\n",
+                 "tests/test_x.cpp":
+                 "run(model,\n    *config::current());\n"}
+        with FixtureTree(files) as root:
+            found = lint(root, "config-lifetime")
+        self.assertEqual(len(found), 2)
+        self.assertTrue(any(f.startswith(os.path.join("tests", "test_x.cpp")
+                                         + ":2:") for f in found), found)
+
+    def test_copies_one_shot_reads_and_comments_are_clean(self):
+        files = {
+            "src/train/trainer.cpp":
+                "const auto snap = config::current();\n"
+                "return train(model, data, config, *snap, cb);\n"
+                "RuntimeConfig copy = *config::current();\n"
+                "if (config::current()->hot().no_simd) return false;\n"
+                "// never: const auto& rc = *config::current();\n",
+            # The definition itself returns the slot by reference.
+            "src/common/runtime_config.cpp":
+                REGISTRY_CPP +
+                "const std::shared_ptr<const RuntimeConfig>& current() {\n"
+                "  return cache.snap;\n}\n"
+                "const auto& again = config::current();\n",
+        }
+        with FixtureTree(files) as root:
+            self.assertEqual(lint(root, "config-lifetime"), [])
+
+
 class RealTree(unittest.TestCase):
     def test_actual_repo_is_clean(self):
         root = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -1,14 +1,20 @@
 // Tests for the typed runtime-config registry (common/runtime_config.hpp):
 // the spec table, env snapshotting, programmatic overrides with validation,
-// tri-state fallbacks, JSON dump, and the process-wide install hook.
+// tri-state fallbacks, JSON dump, the process-wide install hook, and the
+// thread-local read path's behaviour under concurrent installs.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "src/common/cpu_features.hpp"
 #include "src/common/error.hpp"
 #include "src/common/runtime_config.hpp"
+#include "src/kernels/fused.hpp"
 
 namespace sptx {
 namespace {
@@ -139,6 +145,93 @@ TEST(RuntimeConfig, InstallSwapsTheProcessSnapshot) {
   config::install(RuntimeConfig{});
   EXPECT_EQ(held->int_or("SPTX_DDP_WORKERS", 1), 13);
   EXPECT_EQ(config::current()->int_or("SPTX_DDP_WORKERS", 1), 1);
+}
+
+TEST(RuntimeConfig, ConcurrentReadersSeeEachInstallWhole) {
+  SnapshotGuard guard;
+  // Two snapshots that differ in three knobs at once; a reader must see one
+  // of them whole, never a mix.
+  RuntimeConfig a = RuntimeConfig::from_env();
+  a.set("SPTX_NO_SIMD", "0");
+  a.set("SPTX_FUSED", "auto");
+  a.set("SPTX_DDP_WORKERS", "1");
+  RuntimeConfig b = a;
+  b.set("SPTX_NO_SIMD", "1");
+  b.set("SPTX_FUSED", "off");
+  b.set("SPTX_DDP_WORKERS", "2");
+  config::install(a);
+  const auto held = config::current();  // copy: must outlive every install
+  const bool hw_simd = cpu_features().avx2 && cpu_features().fma;
+
+  // Generation g (g even = a, odd = b) is published only after install()
+  // returns, and the next install waits until every reader has acknowledged
+  // g. So a reader that has not yet acknowledged g must read exactly g.
+  constexpr int kReaders = 3;
+  constexpr int kInstalls = 200;
+  std::atomic<int> generation{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> torn{0};
+  std::atomic<int> stale{0};
+  std::vector<std::atomic<int>> acked(kReaders);
+  for (auto& x : acked) x.store(0);
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const int g = generation.load(std::memory_order_acquire);
+        const bool want_b = g % 2 == 1;
+        const bool simd = simd_enabled();
+        const bool fused = kernels::fused_enabled();
+        const bool no_simd = config::current()->hot().no_simd;
+        const auto snap = config::current();
+        const RuntimeConfig::HotKnobs& hot = snap->hot();
+        const bool snap_b = hot.no_simd;
+        if (hot.fused_off != snap_b ||
+            snap->int_or("SPTX_DDP_WORKERS", 0) != (snap_b ? 2 : 1))
+          torn.fetch_add(1);
+        if (acked[r].load(std::memory_order_relaxed) != g) {
+          if (no_simd != want_b || fused == want_b ||
+              simd != (hw_simd && !want_b) || snap_b != want_b)
+            stale.fetch_add(1);
+          acked[r].store(g, std::memory_order_release);
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (int g = 1; g <= kInstalls; ++g) {
+    config::install(g % 2 == 1 ? b : a);
+    generation.store(g, std::memory_order_release);
+    for (auto& x : acked)
+      while (x.load(std::memory_order_acquire) != g) std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(torn.load(), 0) << "a reader saw a mix of two snapshots";
+  EXPECT_EQ(stale.load(), 0) << "a reader missed an install that had returned";
+  EXPECT_FALSE(held->hot().no_simd);
+  EXPECT_FALSE(held->hot().fused_off);
+  EXPECT_EQ(held->int_or("SPTX_DDP_WORKERS", 0), 1);
+}
+
+TEST(RuntimeConfig, ScopedOverrideReachesTheHotReaders) {
+  SnapshotGuard guard;
+  config::install(RuntimeConfig{});
+  const auto held = config::current();
+  ASSERT_FALSE(config::current()->hot().no_simd);
+  {
+    config::ScopedOverride off("SPTX_NO_SIMD", "1");
+    EXPECT_FALSE(simd_enabled());
+    EXPECT_TRUE(config::current()->hot().no_simd);
+    std::thread other([] { EXPECT_FALSE(simd_enabled()); });
+    other.join();
+  }
+  EXPECT_FALSE(config::current()->hot().no_simd);
+  EXPECT_EQ(simd_enabled(), cpu_features().avx2 && cpu_features().fma);
+  EXPECT_FALSE(held->hot().no_simd);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sptx_lint — repo-invariant checker for the SparseTransX tree.
 
-Eight rules, each guarding a discipline the codebase relies on but no
+Nine rules, each guarding a discipline the codebase relies on but no
 compiler enforces:
 
   env-getenv      std::getenv("SPTX_...") appears only in
@@ -36,6 +36,15 @@ compiler enforces:
                   sideways or down, never up (common -> kg -> profiling ->
                   tensor/runtime -> sparse -> autograd/kernels -> nn ->
                   baseline/models -> train/eval/distributed/serve -> api).
+  config-lifetime config::current() returns this thread's cached snapshot
+                  slot by reference, and the next current() after an
+                  install() re-points the slot and may free the snapshot.
+                  Outside runtime_config.cpp (in src/, tests/, bench/,
+                  examples/), neither config::current() nor
+                  *config::current() may be bound to a reference
+                  (auto&, const auto&, const RuntimeConfig&, ...) or passed
+                  straight into a call as *config::current() — hold a copy
+                  (`const auto snap = config::current();`) and pass *snap.
 
 Exit status 0 when the tree is clean; 1 with one "file:line: rule: message"
 diagnostic per violation otherwise. Registered as the `sptx_lint` ctest and
@@ -378,6 +387,35 @@ class Linter:
                         f"'src/{target}' (layer {LAYERS[target]}) — "
                         "includes must point sideways or down the layering")
 
+    # -- rule: config-lifetime ---------------------------------------------
+
+    def check_config_lifetime(self):
+        """No reference may outlive a read of the thread's config slot.
+
+        Matched on comment-stripped whole files, so a call split across
+        lines is still caught. `RuntimeConfig copy = *config::current();`
+        and `config::current()->...` used within one expression are fine.
+        """
+        allowed = os.path.join("src", "common", "runtime_config.cpp")
+        call = r"(?:sptx\s*::\s*)?config\s*::\s*current\s*\(\s*\)"
+        bound = re.compile(r"&\s*\w+\s*(?:=|\{)\s*\*?\s*" + call)
+        passed = re.compile(r"[(,]\s*\*\s*" + call + r"\s*[,)]")
+        for subdir in ("src", "tests", "bench", "examples"):
+            for path in iter_source_files(self.root, subdir):
+                if os.path.relpath(path, self.root) == allowed:
+                    continue
+                text = strip_comments(read(path))
+                for pattern, what in ((bound, "bound to a reference"),
+                                      (passed, "passed into a call")):
+                    for m in pattern.finditer(text):
+                        lineno = text.count("\n", 0, m.end()) + 1
+                        self.report(
+                            path, lineno, "config-lifetime",
+                            f"config::current() {what} — the thread's slot "
+                            "may be re-pointed (and the snapshot freed) by "
+                            "the next current() after an install(); hold a "
+                            "copy: `const auto snap = config::current();`")
+
     def run(self, rules=None):
         checks = {
             "env-getenv": self.check_getenv,
@@ -388,6 +426,7 @@ class Linter:
             "raw-threads": self.check_raw_threads,
             "process-control": self.check_process_control,
             "include-layers": self.check_layers,
+            "config-lifetime": self.check_config_lifetime,
         }
         for name, check in checks.items():
             if rules and name not in rules:
