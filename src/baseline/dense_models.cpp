@@ -89,8 +89,9 @@ std::vector<autograd::Variable> DenseTransE::params() {
   return {entities_.var(), relations_.var()};
 }
 
-void DenseTransE::post_step() {
-  if (config_.normalize_entities) entities_.normalize_rows();
+void DenseTransE::constrain(const sparse::RowSupport* touched) {
+  if (config_.normalize_entities)
+    entities_.normalize_rows_prefix(num_entities_, touched);
 }
 
 // ------------------------------------------------------------ DenseTransR
@@ -157,8 +158,16 @@ std::vector<autograd::Variable> DenseTransR::params() {
   return {entities_.var(), relations_.var(), projections_.var()};
 }
 
-void DenseTransR::post_step() {
-  if (config_.normalize_entities) entities_.normalize_rows();
+std::vector<ParamIndexSpace> DenseTransR::param_index_spaces() {
+  // The projection stack is (R·d_r) × d with block r owned by relation r,
+  // exactly as SpTransR's; shape inference must not guess at it.
+  return {ParamIndexSpace::kEntity, ParamIndexSpace::kRelation,
+          ParamIndexSpace::kRelationBlocks};
+}
+
+void DenseTransR::constrain(const sparse::RowSupport* touched) {
+  if (config_.normalize_entities)
+    entities_.normalize_rows_prefix(num_entities_, touched);
 }
 
 // ------------------------------------------------------------ DenseTransH
@@ -227,9 +236,10 @@ std::vector<autograd::Variable> DenseTransH::params() {
   return {entities_.var(), normals_.var(), transfers_.var()};
 }
 
-void DenseTransH::post_step() {
+void DenseTransH::constrain(const sparse::RowSupport* touched) {
   normals_.normalize_rows();
-  if (config_.normalize_entities) entities_.normalize_rows();
+  if (config_.normalize_entities)
+    entities_.normalize_rows_prefix(num_entities_, touched);
 }
 
 // ------------------------------------------------------------ DenseTransD
@@ -307,8 +317,9 @@ std::vector<autograd::Variable> DenseTransD::params() {
           relation_proj_.var()};
 }
 
-void DenseTransD::post_step() {
-  if (config_.normalize_entities) entities_.normalize_rows();
+void DenseTransD::constrain(const sparse::RowSupport* touched) {
+  if (config_.normalize_entities)
+    entities_.normalize_rows_prefix(num_entities_, touched);
 }
 
 // ------------------------------------------------------------ DenseTorusE

@@ -26,6 +26,7 @@ namespace sptx::baseline {
 using models::Dissimilarity;
 using models::KgeModel;
 using models::ModelConfig;
+using models::ParamIndexSpace;
 
 class DenseTransE final : public KgeModel {
  public:
@@ -36,9 +37,11 @@ class DenseTransE final : public KgeModel {
                           std::span<const Triplet> neg) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
 
   autograd::Variable distance(std::span<const Triplet> batch);
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable entities_;   // separate tables, TorchKGE-style
@@ -54,9 +57,12 @@ class DenseTransR final : public KgeModel {
                           std::span<const Triplet> neg) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
+  std::vector<ParamIndexSpace> param_index_spaces() override;
 
   autograd::Variable distance(std::span<const Triplet> batch);
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable entities_;
@@ -73,9 +79,11 @@ class DenseTransH final : public KgeModel {
                           std::span<const Triplet> neg) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
 
   autograd::Variable distance(std::span<const Triplet> batch);
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable entities_;
@@ -94,9 +102,11 @@ class DenseTransD final : public KgeModel {
                           std::span<const Triplet> neg) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
 
   autograd::Variable distance(std::span<const Triplet> batch);
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable entities_;

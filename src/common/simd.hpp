@@ -112,7 +112,11 @@ SPTX_TARGET_AVX2 inline void axpy_avx2(float* __restrict y,
         _mm256_fmadd_ps(_mm256_loadu_ps(x + j), va, _mm256_loadu_ps(y + j));
     _mm256_storeu_ps(y + j, vy);
   }
-  for (; j < d; ++j) y[j] += a * x[j];
+  // The tail rounds like the vector body (one fused multiply-add), so an
+  // element's result never depends on where a row boundary puts it: a
+  // row-by-row axpy and one flat axpy over the same rows agree bit for bit
+  // under any -ffp-contract setting.
+  for (; j < d; ++j) y[j] = std::fma(a, x[j], y[j]);
 }
 
 SPTX_TARGET_AVX2 inline void add_avx2(float* __restrict y,
@@ -241,6 +245,27 @@ inline float dot(const float* a, const float* b, std::int64_t d, bool vec) {
   (void)vec;
 #endif
   return detail::dot_scalar(a, b, d);
+}
+
+/// Squared-norm tolerance within which a d-float row already counts as unit
+/// length: (d + 8)·2⁻²². Normalising a row leaves its recomputed squared norm
+/// within about (2d + 6)·2⁻²⁴ of 1 — d-term summation error twice (before
+/// and after), plus the rounding of sqrt, the reciprocal and each product —
+/// so the result of any normalisation lies inside this bound, with a factor
+/// of two to spare.
+inline float unit_norm_tolerance(std::int64_t d) {
+  return static_cast<float>(d + 8) * 0x1p-22f;
+}
+
+/// x /= ‖x‖₂ — unless x is zero or already unit length within
+/// unit_norm_tolerance(d). The skip makes renormalisation idempotent bit for
+/// bit: normalising an unchanged row a second time leaves it untouched, so
+/// renormalising only the rows a batch changed gives the same bits as
+/// renormalising every row.
+inline void normalize_l2(float* x, std::int64_t d, bool vec) {
+  const float sq = squared_norm(x, d, vec);
+  if (sq <= 0.0f || std::fabs(sq - 1.0f) <= unit_norm_tolerance(d)) return;
+  scale(x, d, 1.0f / std::sqrt(sq), vec);
 }
 
 }  // namespace sptx::simd

@@ -17,13 +17,14 @@
 #include "src/kg/negative_sampler.hpp"
 #include "src/models/checkpoint.hpp"
 #include "src/models/snapshot.hpp"
+#include "src/nn/optim.hpp"
 #include "src/profiling/counters.hpp"
 #include "src/runtime/task_pool.hpp"
-#include "src/sparse/incidence.hpp"
+#include "src/sparse/row_support.hpp"
 
 namespace sptx::distributed {
 
-// ParamGrad / harvest_shard_grads / expand_relation_blocks moved to
+// ParamGrad / harvest_shard_grads live in
 // shard_grads.hpp — the multi-process executor (proc_ddp.cpp) reuses them,
 // and sharing the harvest is what keeps the two paths bit-identical.
 
@@ -104,6 +105,8 @@ DdpResult train_ddp(
     caches.push_back(std::make_unique<sparse::PlanCache>());
   // One support check per worker per run (see verify_support_exhausts_grads).
   std::vector<char> support_verified(static_cast<std::size_t>(p), 0);
+  // Whether post_step has run over every row yet in this call.
+  bool constrained_all = false;
 
   DdpResult result;
   result.workers = p;
@@ -232,7 +235,8 @@ DdpResult train_ddp(
           harvest_shard_grads(all_params[wi], spaces, pos, neg, n_ent, n_rel,
                               shard_grads[static_cast<std::size_t>(s)]);
           if (!support_verified[wi]) {
-            verify_support_exhausts_grads(all_params[wi], *replicas[wi]);
+            nn::verify_support_exhausts_grads(all_params[wi],
+                                              replicas[wi]->name());
             support_verified[wi] = 1;
           }
         }
@@ -382,14 +386,13 @@ DdpResult train_ddp(
       // Broadcast the SGD update: every replica steps with the same reduced
       // gradient over the batch's touched rows, then the accumulator is
       // re-zeroed on the same support so the next batch starts clean.
-      const std::vector<index_t> batch_ents =
-          touched_entity_ids(pos_all, neg_all);
-      const std::vector<index_t> batch_rels =
-          touched_relation_ids(pos_all, neg_all);
-      std::vector<index_t> batch_stacked;
+      sparse::RowSupport touched(n_ent, n_rel);
+      touched.add(pos_all);
+      touched.add(neg_all);
       for (std::size_t i = 0; i < num_params; ++i) {
         Matrix& g0 = all_params[0][i].grad();
-        if (spaces[i] == models::ParamIndexSpace::kDense) {
+        const sparse::ParamRows param_rows(&touched, spaces[i], g0.rows());
+        if (param_rows.all()) {
           for (int w = 0; w < p; ++w)
             all_params[static_cast<std::size_t>(w)][i]
                 .mutable_value()
@@ -397,43 +400,30 @@ DdpResult train_ddp(
           g0.zero();
           continue;
         }
-        std::vector<index_t> block_rows;
-        const std::vector<index_t>* rows = nullptr;
-        switch (spaces[i]) {
-          case models::ParamIndexSpace::kEntity:
-            rows = &batch_ents;
-            break;
-          case models::ParamIndexSpace::kRelation:
-            rows = &batch_rels;
-            break;
-          case models::ParamIndexSpace::kRelationBlocks:
-            block_rows =
-                expand_relation_blocks(batch_rels, g0.rows(), n_rel);
-            rows = &block_rows;
-            break;
-          default:
-            if (batch_stacked.empty()) {
-              batch_stacked = batch_ents;
-              for (index_t r : batch_rels)
-                batch_stacked.push_back(n_ent + r);
-            }
-            rows = &batch_stacked;
-            break;
-        }
+        const std::vector<index_t> rows = param_rows.rows();
         const index_t cols = g0.cols();
         const bool vec = simd_enabled();
         for (int w = 0; w < p; ++w) {
           Matrix& v = all_params[static_cast<std::size_t>(w)][i]
                           .mutable_value();
-          for (index_t row : *rows)
+          for (index_t row : rows)
             simd::axpy(v.row(row), g0.row(row), -config.lr, cols, vec);
         }
-        for (index_t row : *rows)
+        for (index_t row : rows)
           std::memset(g0.row(row), 0,
                       static_cast<std::size_t>(cols) * sizeof(float));
       }
-      for (int w = 0; w < p; ++w) replicas[static_cast<std::size_t>(w)]
-          ->post_step();
+      // Renormalise the touched rows — every row on the run's first batch
+      // (KgeModel::post_step), as the single-process trainer does.
+      for (int w = 0; w < p; ++w) {
+        models::KgeModel& replica = *replicas[static_cast<std::size_t>(w)];
+        if (constrained_all) {
+          replica.post_step(touched);
+        } else {
+          replica.post_step();
+        }
+      }
+      constrained_all = true;
 
       float batch_loss = 0.0f;  // shard order: worker-count invariant
       for (float l : shard_loss) batch_loss += l;

@@ -24,6 +24,7 @@
 #include "src/kg/negative_sampler.hpp"
 #include "src/kg/streaming_store.hpp"
 #include "src/models/checkpoint.hpp"
+#include "src/nn/optim.hpp"
 #include "src/profiling/counters.hpp"
 #include "src/profiling/timer.hpp"
 #include "src/runtime/task_pool.hpp"
@@ -252,6 +253,7 @@ struct Replica {
   sparse::ScoringRecipe recipe;
   std::unique_ptr<sparse::PlanCache> cache;  // nullptr = caching off
   bool support_verified = false;
+  bool constrained_all = false;  // post_step has covered every row
 
   void init(std::unique_ptr<models::KgeModel> m, bool use_cache) {
     model = std::move(m);
@@ -263,6 +265,17 @@ struct Replica {
     // Materialise every gradient buffer (zeroed) up front, mirroring the
     // threaded path.
     for (auto& param : params) param.grad();
+  }
+
+  /// post_step over the batch's touched rows — over every row the first
+  /// time in this process, as the threaded executor and the trainer do.
+  void post_step(const sparse::RowSupport& touched) {
+    if (constrained_all) {
+      model->post_step(touched);
+    } else {
+      model->post_step();
+      constrained_all = true;
+    }
   }
 };
 
@@ -310,49 +323,30 @@ float compute_shard(Replica& rep, std::span<const Triplet> pos_all,
   autograd::scale(loss, weight).backward();
   harvest_shard_grads(rep.params, rep.spaces, pos, neg, n_ent, n_rel, out);
   if (!rep.support_verified) {
-    verify_support_exhausts_grads(rep.params, *rep.model);
+    nn::verify_support_exhausts_grads(rep.params, rep.model->name());
     rep.support_verified = true;
   }
   return loss.value().at(0, 0) * weight;
 }
 
-/// The per-parameter row support of a batch's reduced gradient — the rows
-/// the step touches. Identical derivation to the threaded path's step
-/// broadcast block.
+/// The batch's row support and, per parameter, the rows the step touches
+/// (sparse::ParamRows — the mapping the threaded path's step broadcast and
+/// the trainer use).
 struct StepRows {
-  std::vector<index_t> ents, rels, stacked;
-  std::vector<std::vector<index_t>> blocks;  // per-param kRelationBlocks
-  std::vector<const std::vector<index_t>*> rows;  // nullptr = dense param
+  sparse::RowSupport touched;
+  std::vector<char> dense;                 // per param: every row
+  std::vector<std::vector<index_t>> rows;  // per param: sorted rows
 
   StepRows(Replica& rep, std::span<const Triplet> pos_all,
-           std::span<const Triplet> neg_all, index_t n_ent, index_t n_rel) {
-    ents = touched_entity_ids(pos_all, neg_all);
-    rels = touched_relation_ids(pos_all, neg_all);
-    blocks.resize(rep.params.size());
-    rows.resize(rep.params.size(), nullptr);
+           std::span<const Triplet> neg_all, index_t n_ent, index_t n_rel)
+      : touched(n_ent, n_rel) {
+    touched.add(pos_all);
+    touched.add(neg_all);
     for (std::size_t i = 0; i < rep.params.size(); ++i) {
-      switch (rep.spaces[i]) {
-        case models::ParamIndexSpace::kDense:
-          break;  // rows[i] stays nullptr
-        case models::ParamIndexSpace::kEntity:
-          rows[i] = &ents;
-          break;
-        case models::ParamIndexSpace::kRelation:
-          rows[i] = &rels;
-          break;
-        case models::ParamIndexSpace::kRelationBlocks:
-          blocks[i] = expand_relation_blocks(
-              rels, rep.params[i].grad().rows(), n_rel);
-          rows[i] = &blocks[i];
-          break;
-        default:
-          if (stacked.empty()) {
-            stacked = ents;
-            for (index_t r : rels) stacked.push_back(n_ent + r);
-          }
-          rows[i] = &stacked;
-          break;
-      }
+      const sparse::ParamRows pr(&touched, rep.spaces[i],
+                                 rep.params[i].grad().rows());
+      dense.push_back(pr.all() ? 1 : 0);
+      rows.push_back(pr.all() ? std::vector<index_t>{} : pr.rows());
     }
   }
 };
@@ -368,7 +362,7 @@ std::string encode_step(int epoch, std::int64_t batch, Replica& rep,
   w.u32(static_cast<std::uint32_t>(rep.params.size()));
   for (std::size_t i = 0; i < rep.params.size(); ++i) {
     const Matrix& g0 = rep.params[i].grad();
-    if (support.rows[i] == nullptr) {  // dense parameter: full matrix
+    if (support.dense[i] != 0) {  // dense parameter: full matrix
       w.u32(0);
       w.i64(g0.rows());
       w.i64(g0.cols());
@@ -376,7 +370,7 @@ std::string encode_step(int epoch, std::int64_t batch, Replica& rep,
         w.bytes(g0.row(k),
                 static_cast<std::size_t>(g0.cols()) * sizeof(float));
     } else {
-      const std::vector<index_t>& rows = *support.rows[i];
+      const std::vector<index_t>& rows = support.rows[i];
       w.u32(1);
       w.i64(static_cast<std::int64_t>(rows.size()));
       w.i64(g0.cols());
@@ -390,9 +384,11 @@ std::string encode_step(int epoch, std::int64_t batch, Replica& rep,
 }
 
 /// Apply a step frame to a replica: the same axpy / post-zero discipline as
-/// the threaded broadcast, sourced from the frame instead of local g0.
+/// the threaded broadcast, sourced from the frame instead of local g0, then
+/// post_step over the batch's `touched` rows.
 void apply_step(std::string_view payload, Replica& rep, float lr,
-                int expect_epoch, std::int64_t expect_batch) {
+                int expect_epoch, std::int64_t expect_batch,
+                const sparse::RowSupport& touched) {
   WireReader r(payload);
   const int epoch = r.i32();
   const std::int64_t batch = r.i64();
@@ -436,7 +432,7 @@ void apply_step(std::string_view payload, Replica& rep, float lr,
       }
     }
   }
-  rep.model->post_step();
+  rep.post_step(touched);
 }
 
 // ---- worker process --------------------------------------------------------
@@ -502,7 +498,10 @@ bool worker_run_epoch(Conn& conn, Mutex& send_mu, Replica& rep,
                       "unexpected frame type "
                           << static_cast<int>(frame.type)
                           << " while awaiting step");
-      apply_step(frame.payload, rep, setup.lr, epoch, batch_ord);
+      sparse::RowSupport touched(n_ent, n_rel);
+      touched.add(pos_all);
+      touched.add(neg_all);
+      apply_step(frame.payload, rep, setup.lr, epoch, batch_ord, touched);
       break;
     }
     shard_ordinal_base += num_shards;
@@ -1233,7 +1232,7 @@ DdpResult Supervisor::run() {
       if (abort_pending_) abort_run(epoch, abort_reason_);
       for (std::size_t i = 0; i < master_.params.size(); ++i) {
         Matrix& g0 = master_.params[i].grad();
-        if (support.rows[i] == nullptr) {
+        if (support.dense[i] != 0) {
           master_.params[i].mutable_value().axpy_(-res_.lr, g0);
           g0.zero();
           continue;
@@ -1241,13 +1240,13 @@ DdpResult Supervisor::run() {
         Matrix& v = master_.params[i].mutable_value();
         const index_t cols = g0.cols();
         const bool vec = simd_enabled();
-        for (index_t row : *support.rows[i])
+        for (index_t row : support.rows[i])
           simd::axpy(v.row(row), g0.row(row), -res_.lr, cols, vec);
-        for (index_t row : *support.rows[i])
+        for (index_t row : support.rows[i])
           std::memset(g0.row(row), 0,
                       static_cast<std::size_t>(cols) * sizeof(float));
       }
-      master_.model->post_step();
+      master_.post_step(support.touched);
 
       float batch_loss = 0.0f;  // shard order: worker-count invariant
       for (float l : shard_loss) batch_loss += l;

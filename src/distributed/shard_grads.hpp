@@ -7,17 +7,16 @@
 // Both executors reduce ShardGrads in shard-index order, which is the
 // bit-identity anchor: WHO computed a shard (which thread, which process,
 // a recovery re-run) never affects the reduced gradient. Keeping the
-// harvest/expand helpers in one header guarantees the two paths cannot
-// drift apart arithmetically.
+// harvest helper in one header guarantees the two paths cannot drift
+// apart arithmetically.
 #pragma once
 
 #include <cstring>
 #include <span>
 #include <vector>
 
-#include "src/common/error.hpp"
 #include "src/models/model.hpp"
-#include "src/sparse/incidence.hpp"
+#include "src/sparse/row_support.hpp"
 
 namespace sptx::distributed {
 
@@ -32,83 +31,34 @@ struct ParamGrad {
 };
 using ShardGrads = std::vector<ParamGrad>;
 
-/// Block expansion for kRelationBlocks: relation r owns rows
-/// [r·h, (r+1)·h) where h = rows / R. Input ids sorted → output sorted.
-inline std::vector<index_t> expand_relation_blocks(
-    const std::vector<index_t>& rels, index_t param_rows,
-    index_t num_relations) {
-  SPTX_CHECK(num_relations > 0 && param_rows % num_relations == 0,
-             "kRelationBlocks parameter rows (" << param_rows
-                 << ") not divisible by relation count " << num_relations);
-  const index_t h = param_rows / num_relations;
-  std::vector<index_t> rows;
-  rows.reserve(rels.size() * static_cast<std::size_t>(h));
-  for (index_t r : rels)
-    for (index_t k = 0; k < h; ++k) rows.push_back(r * h + k);
-  return rows;
-}
-
 /// Copy the shard's gradient support out of `params` and zero it there, so
 /// the worker's accumulation buffers are pristine for its next shard. The
 /// extraction is what makes the all-reduce sparse: for an entity table only
 /// rows named by the shard's triplets can hold gradient (every backward
 /// scatter lands inside the incidence support), so only those rows travel.
+/// The rows come from sparse::ParamRows — the same mapping the trainer's
+/// row-sparse optimizer step and both executors' step broadcasts use.
 inline void harvest_shard_grads(
     std::vector<autograd::Variable>& params,
     const std::vector<models::ParamIndexSpace>& spaces,
     std::span<const Triplet> pos, std::span<const Triplet> neg,
     index_t num_entities, index_t num_relations, ShardGrads& out) {
-  std::vector<index_t> ents;      // lazily built per shard, shared by params
-  std::vector<index_t> rels;
-  std::vector<index_t> stacked;
-  const auto entity_rows = [&]() -> const std::vector<index_t>& {
-    if (ents.empty()) ents = touched_entity_ids(pos, neg);
-    return ents;
-  };
-  const auto relation_rows = [&]() -> const std::vector<index_t>& {
-    if (rels.empty()) rels = touched_relation_ids(pos, neg);
-    return rels;
-  };
-  const auto stacked_rows = [&]() -> const std::vector<index_t>& {
-    if (stacked.empty()) {
-      // Entity ids all precede N ≤ N + relation id, so the concatenation of
-      // the two sorted lists is itself sorted.
-      stacked = entity_rows();
-      for (index_t r : relation_rows()) stacked.push_back(num_entities + r);
-    }
-    return stacked;
-  };
-
+  sparse::RowSupport touched(num_entities, num_relations);
+  touched.add(pos);
+  touched.add(neg);
   out.resize(params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
     ParamGrad& pg = out[i];
     Matrix& g = params[i].grad();
     pg.present = true;
-    if (spaces[i] == models::ParamIndexSpace::kDense) {
+    const sparse::ParamRows rows(&touched, spaces[i], g.rows());
+    if (rows.all()) {
       pg.dense = true;
       pg.values = g;  // deep copy
       g.zero();
       continue;
     }
-    std::vector<index_t> block_rows;  // kRelationBlocks, height per param
-    const std::vector<index_t>* rows = nullptr;
-    switch (spaces[i]) {
-      case models::ParamIndexSpace::kEntity:
-        rows = &entity_rows();
-        break;
-      case models::ParamIndexSpace::kRelation:
-        rows = &relation_rows();
-        break;
-      case models::ParamIndexSpace::kRelationBlocks:
-        block_rows =
-            expand_relation_blocks(relation_rows(), g.rows(), num_relations);
-        rows = &block_rows;
-        break;
-      default:
-        rows = &stacked_rows();
-        break;
-    }
-    pg.rows = *rows;
+    pg.rows = rows.rows();
     const index_t cols = g.cols();
     pg.values = Matrix(static_cast<index_t>(pg.rows.size()), cols);
     for (std::size_t k = 0; k < pg.rows.size(); ++k) {
@@ -117,24 +67,6 @@ inline void harvest_shard_grads(
       std::memset(g.row(pg.rows[k]), 0,
                   static_cast<std::size_t>(cols) * sizeof(float));
     }
-  }
-}
-
-/// One-time (per run, per worker) safety net for param_index_spaces(): after
-/// the first harvest, every gradient buffer must be identically zero — a
-/// residue means the model's loss touched rows outside the declared index
-/// space (e.g. a full-table regulariser on an entity-shaped parameter), and
-/// the sparse all-reduce would silently drop and cross-contaminate gradient.
-/// Costs one table scan per worker per run.
-inline void verify_support_exhausts_grads(
-    std::vector<autograd::Variable>& params, const models::KgeModel& model) {
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const Matrix& g = params[i].grad();
-    SPTX_CHECK(g.max_abs() == 0.0f,
-               model.name() << " parameter " << i
-                            << " has gradient outside its declared "
-                               "ParamIndexSpace row support; override "
-                               "param_index_spaces() (kDense is always safe)");
   }
 }
 

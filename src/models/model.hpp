@@ -7,7 +7,8 @@
 //  * score(batch)    — fast non-autograd scoring for evaluation;
 //  * params()        — leaf Variables for the optimizer;
 //  * post_step()     — per-batch constraints (entity renormalisation for
-//    TransE-family, unit normals for TransH).
+//    TransE-family, unit normals for TransH), over every row or over the
+//    rows a batch touched.
 // Scores are distances for translational models (lower = more plausible)
 // and similarities for the semiring models (higher = better);
 // higher_is_better() tells the evaluator which way to rank.
@@ -74,22 +75,10 @@ inline autograd::Variable ranking_loss(const autograd::Variable& pos,
              : autograd::logistic_ranking_loss(pos, neg, config.margin);
 }
 
-/// How a parameter matrix's rows are indexed. Drives the distributed
-/// trainer's sparse all-reduce: for entity/relation-indexed tables only the
-/// rows a batch's incidence structure touches carry gradient, so only those
-/// rows need to travel. kDense disables the sparse path for a parameter —
-/// always safe, never wrong, just slower.
-enum class ParamIndexSpace {
-  kEntity,                  // rows indexed by entity id (N rows)
-  kRelation,                // rows indexed by relation id (R rows)
-  kEntityRelationStacked,   // [entities; relations] stacking (N + R rows)
-  /// R stacked fixed-height blocks, block r belonging to relation r
-  /// (TransR's (R·d_r) × d projection stack). Never inferred from shape —
-  /// only a model override can claim it, because a coincidentally divisible
-  /// dense matrix would silently drop gradient.
-  kRelationBlocks,
-  kDense,                   // anything else: all-reduce the whole matrix
-};
+/// How a parameter matrix's rows are indexed (sparse/row_support.hpp):
+/// drives the row-sparse optimizer step, post_step(support) and DDP's
+/// sparse all-reduce.
+using ParamIndexSpace = sparse::ParamIndexSpace;
 
 /// Probe geometry for ANN-accelerated top-k serving (serve/ann_index.hpp):
 /// which matrix holds the entity points (rows [0, num_entities) are the
@@ -132,16 +121,30 @@ class KgeModel {
 
   virtual std::vector<autograd::Variable> params() = 0;
 
-  /// Index space of each params() entry, aligned by position. The default
-  /// infers from row counts — N rows → entity-indexed, R rows →
+  /// Index space of each params() entry, aligned by position. A row whose
+  /// declared space does not cover it must never receive gradient: the
+  /// trainer's row-sparse step neither updates nor clears it (the first
+  /// batch of every train() call checks this and throws on a residue). The
+  /// default infers from row counts — N rows → entity-indexed, R rows →
   /// relation-indexed, N+R rows → the stacked [entities; relations] layout —
   /// which is exact for every model family in this library. Ambiguous counts
   /// (a dataset where N == R) and unrecognised shapes classify as kDense,
   /// which is always safe. Models with exotic layouts should override.
   virtual std::vector<ParamIndexSpace> param_index_spaces();
 
-  /// Apply model constraints after an optimizer step.
-  virtual void post_step() {}
+  /// Apply model constraints (entity renormalisation, unit normals,
+  /// non-negative metrics) after an optimizer step, to every row.
+  void post_step() { constrain(nullptr); }
+
+  /// The row-sparse form the trainer calls after Optimizer::step(support):
+  /// constraints on entity rows visit only the entities `touched` marks.
+  /// Equal to post_step() bit for bit provided every unmarked entity row is
+  /// unchanged since it was last constrained — renormalisation skips rows
+  /// whose norm is already 1 within float error (normalize_l2), so a
+  /// second pass over an unchanged row is a no-op. train() therefore calls
+  /// post_step() after its first batch (and whenever the optimizer moved
+  /// every row), and this form otherwise.
+  void post_step(const sparse::RowSupport& touched) { constrain(&touched); }
 
   /// Probe geometry for the ANN serving path, or nullopt when no
   /// rank-preserving single-table transform exists for the family (TorusE's
@@ -167,6 +170,10 @@ class KgeModel {
         num_relations_(num_relations),
         config_(config) {}
 
+  /// The constraint pass behind both post_step() forms; `touched` is null
+  /// for every row. Relation-sized tables may ignore it (they are small).
+  virtual void constrain(const sparse::RowSupport* /*touched*/) {}
+
   index_t num_entities_;
   index_t num_relations_;
   ModelConfig config_;
@@ -177,7 +184,7 @@ class KgeModel {
 /// sparse::CompiledBatch possibly on a prefetch thread) plus a scoring core
 /// (the model-specific SpMMs and reduction over the pre-built structures).
 /// distance() and loss() dedupe here: subclasses keep only recipe(),
-/// forward(), the non-autograd score() and post_step().
+/// forward(), the non-autograd score() and constrain().
 ///
 /// forward() returns a ranking-ready (M×1) column — distance-like, lower =
 /// more plausible; similarity models negate inside their core so one

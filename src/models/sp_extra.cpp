@@ -155,8 +155,9 @@ std::vector<autograd::Variable> SpTransD::params() {
           relation_proj_.var()};
 }
 
-void SpTransD::post_step() {
-  if (config_.normalize_entities) entities_.normalize_rows();
+void SpTransD::constrain(const sparse::RowSupport* touched) {
+  if (config_.normalize_entities)
+    entities_.normalize_rows_prefix(num_entities_, touched);
 }
 
 // --------------------------------------------------------------- SpTransA
@@ -247,11 +248,11 @@ std::vector<autograd::Variable> SpTransA::params() {
   return {ent_rel_.var(), metric_.var()};
 }
 
-void SpTransA::post_step() {
+void SpTransA::constrain(const sparse::RowSupport* touched) {
   // W_r must stay PSD; for a diagonal metric that is elementwise ≥ 0.
   clamp_nonnegative(metric_.mutable_weights());
   if (config_.normalize_entities) {
-    ent_rel_.normalize_rows_prefix(num_entities_);
+    ent_rel_.normalize_rows_prefix(num_entities_, touched);
   }
 }
 
@@ -331,9 +332,9 @@ std::vector<autograd::Variable> SpTransC::params() {
   return {ent_rel_.var()};
 }
 
-void SpTransC::post_step() {
+void SpTransC::constrain(const sparse::RowSupport* touched) {
   if (!config_.normalize_entities) return;
-  ent_rel_.normalize_rows_prefix(num_entities_);
+  ent_rel_.normalize_rows_prefix(num_entities_, touched);
 }
 
 // --------------------------------------------------------------- SpTransM
@@ -430,10 +431,10 @@ std::vector<autograd::Variable> SpTransM::params() {
   return {ent_rel_.var(), rel_weight_.var()};
 }
 
-void SpTransM::post_step() {
+void SpTransM::constrain(const sparse::RowSupport* touched) {
   clamp_nonnegative(rel_weight_.mutable_weights());
   if (!config_.normalize_entities) return;
-  ent_rel_.normalize_rows_prefix(num_entities_);
+  ent_rel_.normalize_rows_prefix(num_entities_, touched);
 }
 
 }  // namespace sptx::models

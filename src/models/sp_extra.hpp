@@ -39,7 +39,9 @@ class SpTransD final : public ScoringCoreModel {
   autograd::Variable fused_forward(const sparse::CompiledBatch& batch) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable entities_;       // N × d
@@ -58,13 +60,15 @@ class SpTransA final : public ScoringCoreModel {
   autograd::Variable fused_forward(const sparse::CompiledBatch& batch) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
 
   /// Candidates rank by the score itself: Σ_j w_rj (q − x)_j² with the
   /// per-relation diagonal metric as probe weights (w ≥ 0 via post_step).
   std::optional<AnnSupport> ann_support() const override;
   void ann_query(bool corrupt_tail, std::int64_t anchor, std::int64_t relation,
                  float* q) const override;
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable ent_rel_;  // stacked [entities; relations]
@@ -81,12 +85,14 @@ class SpTransC final : public ScoringCoreModel {
   autograd::Variable fused_forward(const sparse::CompiledBatch& batch) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
 
   /// Score is ||q − x||₂² — monotone in L2, so an L2 probe is exact.
   std::optional<AnnSupport> ann_support() const override;
   void ann_query(bool corrupt_tail, std::int64_t anchor, std::int64_t relation,
                  float* q) const override;
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable ent_rel_;
@@ -102,13 +108,15 @@ class SpTransM final : public ScoringCoreModel {
   autograd::Variable fused_forward(const sparse::CompiledBatch& batch) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
 
   /// Score is w_r·||q − x|| with w_r ≥ 0 constant across one query's
   /// candidates — rank-preserved by the unweighted config-norm probe.
   std::optional<AnnSupport> ann_support() const override;
   void ann_query(bool corrupt_tail, std::int64_t anchor, std::int64_t relation,
                  float* q) const override;
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable ent_rel_;

@@ -96,11 +96,11 @@ std::vector<autograd::Variable> SpTransE::params() {
   return {ent_rel_.var()};
 }
 
-void SpTransE::post_step() {
+void SpTransE::constrain(const sparse::RowSupport* touched) {
   if (!config_.normalize_entities) return;
   // Normalise only the entity block; relation translations stay free
   // (the TransE training protocol).
-  ent_rel_.normalize_rows_prefix(num_entities_);
+  ent_rel_.normalize_rows_prefix(num_entities_, touched);
 }
 
 }  // namespace sptx::models

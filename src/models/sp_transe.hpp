@@ -24,13 +24,15 @@ class SpTransE final : public ScoringCoreModel {
   autograd::Variable fused_forward(const sparse::CompiledBatch& batch) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
 
   /// Tails rank by ||(h + r) − t||, heads by ||(t − r) − h|| — the exact
   /// score under the config norm — so the probe metric IS the score.
   std::optional<AnnSupport> ann_support() const override;
   void ann_query(bool corrupt_tail, std::int64_t anchor, std::int64_t relation,
                  float* q) const override;
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable ent_rel_;  // stacked [entities; relations]

@@ -102,10 +102,11 @@ std::vector<autograd::Variable> SpTransH::params() {
   return {entities_.var(), normals_.var(), transfers_.var()};
 }
 
-void SpTransH::post_step() {
+void SpTransH::constrain(const sparse::RowSupport* touched) {
   // TransH constraints: unit hyperplane normals always; entity norm cap.
   normals_.normalize_rows();
-  if (config_.normalize_entities) entities_.normalize_rows();
+  if (config_.normalize_entities)
+    entities_.normalize_rows_prefix(num_entities_, touched);
 }
 
 }  // namespace sptx::models

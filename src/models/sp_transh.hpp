@@ -28,7 +28,9 @@ class SpTransH final : public ScoringCoreModel {
   autograd::Variable fused_forward(const sparse::CompiledBatch& batch) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
-  void post_step() override;
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable entities_;   // N × d

@@ -128,9 +128,9 @@ std::vector<ParamIndexSpace> SpTransR::param_index_spaces() {
           ParamIndexSpace::kRelationBlocks};
 }
 
-void SpTransR::post_step() {
+void SpTransR::constrain(const sparse::RowSupport* touched) {
   if (!config_.normalize_entities) return;
-  entities_.normalize_rows();
+  entities_.normalize_rows_prefix(num_entities_, touched);
 }
 
 }  // namespace sptx::models

@@ -32,7 +32,9 @@ class SpTransR final : public ScoringCoreModel {
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
   std::vector<ParamIndexSpace> param_index_spaces() override;
-  void post_step() override;
+
+ protected:
+  void constrain(const sparse::RowSupport* touched) override;
 
  private:
   nn::EmbeddingTable entities_;     // N × d

@@ -26,21 +26,23 @@ EmbeddingTable::EmbeddingTable(Matrix init) {
                                   "embedding");
 }
 
-void EmbeddingTable::normalize_rows_prefix(index_t count) {
+void EmbeddingTable::normalize_rows_prefix(
+    index_t count, const sparse::RowSupport* touched) {
   SPTX_CHECK(count >= 0 && count <= rows(), "normalize prefix out of range");
-  // Runs after every optimizer step over the whole entity block, so it is a
-  // per-batch O(N·d) pass: vectorized per row, rows split across threads
-  // (each row is touched by exactly one task — no synchronization needed).
+  SPTX_CHECK(touched == nullptr || count <= touched->num_entities(),
+             "normalize prefix exceeds the row support's entity block");
+  // Runs after every optimizer step, so it is a per-batch pass over the
+  // entity block (or the touched part of it): vectorized per row, rows split
+  // across threads (each row is touched by exactly one task — no
+  // synchronization needed).
   Matrix& w = var_.mutable_value();
   const index_t d = w.cols();
   const bool vec = simd_enabled();
   runtime::parallel_for(
       0, count,
       [&](index_t i) {
-        float* row = w.row(i);
-        const float sq = simd::squared_norm(row, d, vec);
-        if (sq <= 0.0f) return;
-        simd::scale(row, d, 1.0f / std::sqrt(sq), vec);
+        if (touched == nullptr || touched->contains(i))
+          simd::normalize_l2(w.row(i), d, vec);
       },
       /*grain=*/1024);
 }

@@ -12,6 +12,7 @@
 
 #include "src/autograd/variable.hpp"
 #include "src/common/rng.hpp"
+#include "src/sparse/row_support.hpp"
 
 namespace sptx::nn {
 
@@ -29,11 +30,16 @@ class EmbeddingTable {
   index_t dim() const { return var_.cols(); }
 
   /// L2-normalise every row in place (TransE normalises entities per batch).
+  /// Rows already of unit norm within float error are left as they are
+  /// (simd::normalize_l2), which makes a second pass a no-op.
   void normalize_rows() { var_.mutable_value().normalize_rows_l2_(); }
 
-  /// L2-normalise only the first `count` rows — for the stacked
-  /// [entities; relations] layout where relation translations stay free.
-  void normalize_rows_prefix(index_t count);
+  /// L2-normalise only the first `count` rows — the entity block of an
+  /// entity table or of the stacked [entities; relations] layout, where
+  /// relation translations stay free. With `touched`, only the entity rows
+  /// it marks: the row-sparse post_step.
+  void normalize_rows_prefix(index_t count,
+                             const sparse::RowSupport* touched = nullptr);
 
  private:
   autograd::Variable var_;

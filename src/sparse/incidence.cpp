@@ -1,7 +1,5 @@
 #include "src/sparse/incidence.hpp"
 
-#include <algorithm>
-
 #include "src/profiling/counters.hpp"
 
 namespace sptx {
@@ -131,34 +129,6 @@ Csr build_relation_selection_csr(std::span<const Triplet> batch,
   }
   a.row_ptr[batch.size()] = static_cast<index_t>(batch.size());
   return a;
-}
-
-std::vector<index_t> touched_entity_ids(std::span<const Triplet> a,
-                                        std::span<const Triplet> b) {
-  std::vector<index_t> ids;
-  ids.reserve(2 * (a.size() + b.size()));
-  for (const Triplet& t : a) {
-    ids.push_back(t.head);
-    ids.push_back(t.tail);
-  }
-  for (const Triplet& t : b) {
-    ids.push_back(t.head);
-    ids.push_back(t.tail);
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
-std::vector<index_t> touched_relation_ids(std::span<const Triplet> a,
-                                          std::span<const Triplet> b) {
-  std::vector<index_t> ids;
-  ids.reserve(a.size() + b.size());
-  for (const Triplet& t : a) ids.push_back(t.relation);
-  for (const Triplet& t : b) ids.push_back(t.relation);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
 }
 
 }  // namespace sptx

@@ -56,17 +56,4 @@ Csr build_entity_selection_csr(std::span<const Triplet> batch,
 Csr build_relation_selection_csr(std::span<const Triplet> batch,
                                  index_t num_relations);
 
-/// Sorted unique entity ids appearing as head or tail across both spans —
-/// the nonzero column support of the batch's incidence structure restricted
-/// to the entity block. The distributed trainer's sparse all-reduce moves
-/// only these embedding rows (gradients outside the support are identically
-/// zero because every backward scatter lands inside it).
-std::vector<index_t> touched_entity_ids(std::span<const Triplet> a,
-                                        std::span<const Triplet> b);
-
-/// Sorted unique relation ids across both spans (the relation-block
-/// counterpart of touched_entity_ids).
-std::vector<index_t> touched_relation_ids(std::span<const Triplet> a,
-                                          std::span<const Triplet> b);
-
 }  // namespace sptx

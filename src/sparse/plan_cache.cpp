@@ -80,6 +80,10 @@ void CompiledBatch::build(const ScoringRecipe& recipe, index_t num_entities,
     groups->offsets.push_back(m);
     relation_groups_ = std::move(groups);
   }
+  if (recipe.row_support) {
+    row_support_.emplace(num_entities, num_relations);
+    row_support_->add(view_);
+  }
   profiling::count_event(profiling::Counter::kPlanCompiles);
 }
 
@@ -153,6 +157,11 @@ const std::shared_ptr<const RelationGroups>& CompiledBatch::relation_groups()
   SPTX_CHECK(relation_groups_ != nullptr,
              "plan compiled without relation groups");
   return relation_groups_;
+}
+
+const RowSupport& CompiledBatch::row_support() const {
+  SPTX_CHECK(row_support_.has_value(), "plan compiled without row support");
+  return *row_support_;
 }
 
 std::shared_ptr<const CompiledBatch> PlanCache::find(Key key) const {

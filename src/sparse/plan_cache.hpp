@@ -12,7 +12,8 @@
 //    thread while training executes.
 //  * CompiledBatch — one batch compiled against a recipe: the (optionally
 //    owned) triplets plus every pre-built CSR the recipe names, with the
-//    backward-pass transpose pre-warmed when the SpMM engine would use it.
+//    backward-pass transpose pre-warmed when the SpMM engine would use it,
+//    and, for training plans, the batch's RowSupport (row_support.hpp).
 //    Immutable after compile; shared_ptr so autograd graphs, caches and
 //    epoch schedules can share one compilation.
 //  * PlanCache — keyed store of CompiledBatches with explicit invalidation.
@@ -26,12 +27,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/thread_annotations.hpp"
 #include "src/kg/triplet.hpp"
+#include "src/sparse/row_support.hpp"
 #include "src/sparse/sparse_matrix.hpp"
 
 namespace sptx::sparse {
@@ -60,6 +63,9 @@ struct ScoringRecipe {
   bool shared_triplets = false;     // semiring kernels take the batch itself
   bool relation_indices = false;    // relation_project's per-row index vector
   bool relation_groups = false;     // fused TransR's relation-grouped order
+  /// The batch's RowSupport, for the row-sparse optimizer step. Requested
+  /// by the trainer, not by models: eval and serving plans never build it.
+  bool row_support = false;
   /// Embedding width the incidence will multiply — used only to decide
   /// whether the backward pass would take the cached-transpose path, in
   /// which case compile() pre-builds the transpose off the hot path.
@@ -104,6 +110,7 @@ class CompiledBatch {
   const std::shared_ptr<const std::vector<Triplet>>& shared_triplets() const;
   const std::shared_ptr<const std::vector<index_t>>& relation_indices() const;
   const std::shared_ptr<const RelationGroups>& relation_groups() const;
+  const RowSupport& row_support() const;
 
   /// The owned triplet vector when this plan copied its batch, null when it
   /// views caller storage. The fused kernels capture this in their autograd
@@ -127,6 +134,7 @@ class CompiledBatch {
   std::shared_ptr<const Csr> tail_selection_;
   std::shared_ptr<const std::vector<index_t>> relation_indices_;
   std::shared_ptr<const RelationGroups> relation_groups_;
+  std::optional<RowSupport> row_support_;
 };
 
 /// Keyed store of compiled plans with explicit invalidation. Thread-safe:

@@ -183,12 +183,7 @@ void Matrix::scale_rows_(const Matrix& col) {
 void Matrix::normalize_rows_l2_() {
   profiling::count_flops(3 * size());
   const bool vec = simd_enabled();
-  for (index_t i = 0; i < rows_; ++i) {
-    float* r = row(i);
-    const float sq = simd::squared_norm(r, cols_, vec);
-    if (sq <= 0.0f) continue;
-    simd::scale(r, cols_, 1.0f / std::sqrt(sq), vec);
-  }
+  for (index_t i = 0; i < rows_; ++i) simd::normalize_l2(row(i), cols_, vec);
 }
 
 float Matrix::sum() const {

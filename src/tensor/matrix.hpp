@@ -88,8 +88,10 @@ class Matrix {
   void axpy_(float alpha, const Matrix& o);    // this += alpha * o
   /// this[i,:] *= col[i] for a (rows×1) column vector.
   void scale_rows_(const Matrix& col);
-  /// L2-normalize every row in place (no-op on zero rows). TransE re-
-  /// normalizes entity embeddings each batch; exposed here for that.
+  /// L2-normalize every row in place (no-op on zero rows and on rows
+  /// already of unit norm within float error, so a second call changes no
+  /// bits — simd::normalize_l2). TransE renormalizes entity embeddings each
+  /// batch; exposed here for that.
   void normalize_rows_l2_();
 
   // ---- Reductions --------------------------------------------------------

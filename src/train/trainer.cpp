@@ -83,6 +83,7 @@ struct TrainLoop {
         cosine_lr(*opt, std::max(c.epochs, 1)) {
     opt->set_weight_decay(c.weight_decay);
     opt->set_grad_clip_norm(c.grad_clip_norm);
+    opt->set_index_spaces(m.param_index_spaces());
   }
 
   void apply_schedule(int epoch) {
@@ -98,10 +99,24 @@ struct TrainLoop {
     }
   }
 
-  /// One forward/backward/step over a batch-loss closure.
+  /// The row-sparse step's per-batch support (pos ∪ neg), reused so the
+  /// steady-state loop allocates nothing; and whether a row-sparse batch has
+  /// run yet in this call.
+  sparse::RowSupport touched;
+  bool row_sparse_started = false;
+
+  /// One forward/backward/step over a batch-loss closure. With `plan` (the
+  /// planned pipeline) the step is row-sparse: the optimizer updates and
+  /// clears only the rows the batch touched, and post_step renormalises
+  /// only those — after a first batch that checks the model's index spaces
+  /// and renormalises every row, so that every untouched row is already
+  /// unit length and the result stays bit-identical to the all-rows form.
+  /// When the optimizer moves every row (weight decay, clipping) so does
+  /// post_step.
+  /// Without a plan (the legacy loop): zero_grad, step(), post_step().
   template <typename LossFn>
-  float run_batch(const LossFn& batch_loss) {
-    opt->zero_grad();
+  float run_batch(const LossFn& batch_loss, const BatchPlan* plan) {
+    if (plan == nullptr) opt->zero_grad();
     autograd::Variable loss;
     {
       profiling::ScopedAccum fwd(result.phases.forward_s);
@@ -113,8 +128,24 @@ struct TrainLoop {
     }
     {
       profiling::ScopedAccum stp(result.phases.step_s);
-      opt->step();
-      model.post_step();
+      if (plan == nullptr) {
+        opt->step();
+        model.post_step();
+      } else {
+        touched.assign_union(plan->pos->row_support(),
+                             plan->neg->row_support());
+        opt->step(touched);
+        if (!row_sparse_started) {
+          std::vector<autograd::Variable> params = opt->params();
+          nn::verify_support_exhausts_grads(params, model.name());
+          row_sparse_started = true;
+          model.post_step();
+        } else if (opt->row_sparse()) {
+          model.post_step(touched);
+        } else {
+          model.post_step();  // weight decay / clipping moved every row
+        }
+      }
     }
     return loss.value().at(0, 0);
   }
@@ -217,8 +248,9 @@ void run_planned(TrainLoop& loop) {
   auto* scoring = dynamic_cast<models::ScoringCoreModel*>(&loop.model);
   // Span-only models (dense baselines, external KgeModels) still get the
   // staged schedule — their plans carry triplets but no incidence.
-  const sparse::ScoringRecipe recipe =
+  sparse::ScoringRecipe recipe =
       scoring ? scoring->recipe() : sparse::ScoringRecipe{};
+  recipe.row_support = true;  // the row-sparse step's per-batch support
 
   const bool variant = config.shuffle || config.resample_negatives;
   const bool prefetch = variant && config.prefetch;
@@ -266,6 +298,9 @@ void run_planned(TrainLoop& loop) {
     initial_compile_s = profiling::seconds_since(t0);
   }
 
+  // The row-sparse step clears only the rows it updates, so the gradients
+  // start from zero once here instead of once per batch.
+  loop.opt->zero_grad();
   for (int epoch = loop.start_epoch; epoch < config.epochs; ++epoch) {
     const auto epoch_start = profiling::clock::now();
     loop.apply_schedule(epoch);
@@ -346,11 +381,13 @@ void run_planned(TrainLoop& loop) {
     double loss_sum = 0.0;
     index_t batches = 0;
     for (const BatchPlan& bp : plans) {
-      loss_sum += loop.run_batch([&]() {
-        return scoring ? scoring->loss(*bp.pos, *bp.neg)
-                       : loop.model.loss(bp.pos->triplets(),
-                                         bp.neg->triplets());
-      });
+      loss_sum += loop.run_batch(
+          [&]() {
+            return scoring ? scoring->loss(*bp.pos, *bp.neg)
+                           : loop.model.loss(bp.pos->triplets(),
+                                             bp.neg->triplets());
+          },
+          &bp);
       ++batches;
     }
 
@@ -447,8 +484,8 @@ void run_legacy(TrainLoop& loop) {
         neg_batch = neg_staged;
       }
 
-      loss_sum +=
-          loop.run_batch([&]() { return loop.model.loss(pos_batch, neg_batch); });
+      loss_sum += loop.run_batch(
+          [&]() { return loop.model.loss(pos_batch, neg_batch); }, nullptr);
       ++batches;
     }
 

@@ -1,11 +1,14 @@
-// Tests for the common substrate: RNG, parallel_for, string utilities.
+// Tests for the common substrate: RNG, parallel_for, string utilities,
+// CRC-32.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <vector>
 
+#include "src/common/crc32.hpp"
 #include "src/common/error.hpp"
 #include "src/runtime/parallel.hpp"
 #include "src/common/rng.hpp"
@@ -138,6 +141,39 @@ TEST(ErrorMacro, CheckThrowsWithContext) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("the answer was 42"), std::string::npos);
+  }
+}
+
+TEST(Crc32, MatchesTheIeeeCheckValue) {
+  EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926u);
+  EXPECT_EQ(crc32_bytewise("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, SlicedEqualsBytewiseOverLengthsOffsetsAndChains) {
+  // The byte loop is the oracle: random buffers read at every alignment,
+  // every length around the 8-byte step, and as chained partial calls.
+  Rng rng(77);
+  std::vector<unsigned char> buf(4096 + 16);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 80; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32_bytewise(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t offset = rng.next_below(16);
+    const std::size_t len = rng.next_below(4096);
+    const std::uint32_t seed = static_cast<std::uint32_t>(rng.next_u64());
+    const unsigned char* p = buf.data() + offset;
+    ASSERT_EQ(crc32(p, len, seed), crc32_bytewise(p, len, seed));
+    // Split at a random point: chaining must equal one call.
+    const std::size_t cut = len == 0 ? 0 : rng.next_below(len + 1);
+    const std::uint32_t chained = crc32(p + cut, len - cut, crc32(p, cut));
+    ASSERT_EQ(chained, crc32_bytewise(p, len))
+        << "len " << len << " cut " << cut;
   }
 }
 

@@ -28,6 +28,30 @@
 namespace sptx {
 namespace {
 
+/// Per-process scratch directory. ctest runs this binary twice (the _pool4
+/// lane), possibly at once under -j; shared checkpoint names in TempDir()
+/// would let one process rename or prune the other's rotations.
+const std::string& scratch_dir() {
+  static const std::string dir = [] {
+    std::string d = ::testing::TempDir() + "/sptx_crash_resume_" +
+                    std::to_string(::getpid());
+    std::filesystem::create_directories(d);
+    return d;
+  }();
+  return dir;
+}
+
+/// Removes scratch_dir() once every test has run.
+class ScratchDirCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(scratch_dir(), ec);
+  }
+};
+::testing::Environment* const kScratchDirCleanup =
+    ::testing::AddGlobalTestEnvironment(new ScratchDirCleanup);
+
 models::ModelConfig cfg8() {
   models::ModelConfig cfg;
   cfg.dim = 8;
@@ -44,7 +68,7 @@ kg::Dataset crash_dataset() {
 /// checkpoints iff every parameter is bit-identical.
 std::string ckpt_bytes(models::KgeModel& model) {
   static std::atomic<int> counter{0};
-  const std::string path = ::testing::TempDir() + "/probe_" +
+  const std::string path = scratch_dir() + "/probe_" +
                            std::to_string(::getpid()) + "_" +
                            std::to_string(counter.fetch_add(1));
   models::save_checkpoint(model, path);
@@ -114,7 +138,7 @@ TEST_P(CrashResumeTest, ResumeContinuesTheExactTrajectory) {
   // B — same run, writing rotated checkpoints. Checkpointing must not
   // perturb the trajectory.
   const std::string base =
-      ::testing::TempDir() + "/resume_" + tag();
+      scratch_dir() + "/resume_" + tag();
   remove_rotations(base);
   auto tc_b = base_config();
   tc_b.checkpoint_every = 2;
@@ -158,7 +182,7 @@ TEST_P(CrashResumeTest, KillMidCheckpointThenResumeIsBitIdentical) {
   train::train(*model_a, ds.train, base_config());
   const std::string want = ckpt_bytes(*model_a);
 
-  const std::string base = ::testing::TempDir() + "/kill_" + tag();
+  const std::string base = scratch_dir() + "/kill_" + tag();
   remove_rotations(base);
   auto tc = base_config();
   tc.checkpoint_every = 2;
@@ -219,7 +243,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CrashResume, RetentionPrunesOldRotations) {
   const kg::Dataset ds = crash_dataset();
-  const std::string base = ::testing::TempDir() + "/retention";
+  const std::string base = scratch_dir() + "/retention";
   remove_rotations(base);
   Rng rng(3);
   auto model =
@@ -252,7 +276,7 @@ TEST(CrashResume, MissingResumeSourceIsTypedIo) {
                                 ds.num_relations(), cfg8(), rng);
   train::TrainConfig tc;
   tc.epochs = 2;
-  tc.resume_from = ::testing::TempDir() + "/definitely_not_there";
+  tc.resume_from = scratch_dir() + "/definitely_not_there";
   try {
     train::train(*model, ds.train, tc);
     FAIL() << "resume from a missing checkpoint must throw";
@@ -315,7 +339,7 @@ TEST(DdpFault, ExhaustedRetriesAbortCleanlyWithValidCheckpoint) {
   DdpFixture fx;
   auto dc = fx.config();
   dc.max_worker_retries = 0;
-  dc.checkpoint_path = ::testing::TempDir() + "/ddp_abort";
+  dc.checkpoint_path = scratch_dir() + "/ddp_abort";
   std::remove((dc.checkpoint_path + ".abort").c_str());
 
   fault::install("ddp_worker:die@0:2");
@@ -343,7 +367,7 @@ TEST(DdpFault, CheckpointResumeMatchesUninterrupted) {
   const auto full = distributed::train_ddp(fx.factory(), fx.ds.train, dc);
   const std::string want = ckpt_bytes(*full.model);
 
-  const std::string base = ::testing::TempDir() + "/ddp_resume";
+  const std::string base = scratch_dir() + "/ddp_resume";
   remove_rotations(base);
   auto dc_ckpt = dc;
   dc_ckpt.checkpoint_every = 2;

@@ -188,7 +188,7 @@ TEST(ProcDdp, HeartbeatStallIsDetectedAndDegradeFinishes) {
   // One shard per batch, owner rank 0 — rank 1 never sends a data frame,
   // so suppressed beacons are its only sign of life.
   auto dc = fx.config(2);
-  dc.epochs = 10;
+  dc.epochs = 40;
   dc.shard_size = dc.batch_size;
   dc.heartbeat_ms = 40;
   dc.policy = "degrade";
