@@ -7,8 +7,8 @@
 // six sparse model families twice:
 //
 //   * fixed-order (§5.3 protocol): reports epoch-1 wall time vs the mean
-//     cached-epoch wall time, plus the legacy rebuild path's mean epoch for
-//     reference, and the cache/build counters that prove reuse;
+//     cached-epoch wall time, and the cache/build counters that prove
+//     reuse;
 //   * shuffled + resampled: plans invalidate every epoch, so the comparison
 //     becomes prefetch off vs on (background compilation of epoch e+1
 //     overlapping epoch e).
@@ -29,7 +29,6 @@ struct PipelineRow {
   std::string model;
   double epoch1_s = 0.0;
   double cached_epoch_s = 0.0;   // mean of epochs >= 2 (plan path)
-  double legacy_epoch_s = 0.0;   // mean epoch of the rebuild path
   double prefetch_off_s = 0.0;   // total seconds, shuffled + resampled
   double prefetch_on_s = 0.0;
   std::int64_t plan_hits = 0;
@@ -40,12 +39,6 @@ double mean_tail(const std::vector<double>& xs) {
   if (xs.size() < 2) return 0.0;
   return std::accumulate(xs.begin() + 1, xs.end(), 0.0) /
          static_cast<double>(xs.size() - 1);
-}
-
-double mean_all(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  return std::accumulate(xs.begin(), xs.end(), 0.0) /
-         static_cast<double>(xs.size());
 }
 
 PipelineRow run_model(const std::string& name, const kg::Dataset& ds,
@@ -70,21 +63,13 @@ PipelineRow run_model(const std::string& name, const kg::Dataset& ds,
 
   {  // Fixed-order protocol: cache serves every epoch after the first.
     auto model = fresh();
-    tc.plan_cache = true;
     const auto r = train::train(*model, ds.train, tc);
     row.epoch1_s = r.epoch_seconds.empty() ? 0.0 : r.epoch_seconds.front();
     row.cached_epoch_s = mean_tail(r.epoch_seconds);
     row.plan_hits = r.plan_stats.hits;
     row.incidence_builds = r.incidence_builds;
   }
-  {  // Legacy per-batch rebuild reference.
-    auto model = fresh();
-    tc.plan_cache = false;
-    const auto r = train::train(*model, ds.train, tc);
-    row.legacy_epoch_s = mean_all(r.epoch_seconds);
-  }
   {  // Variant schedule: prefetch off vs on.
-    tc.plan_cache = true;
     tc.shuffle = true;
     tc.resample_negatives = true;
     tc.prefetch = false;
@@ -124,12 +109,12 @@ int main() {
     const PipelineRow row = run_model(families[i], ds, epochs);
     std::printf(
         "    {\"model\": \"%s\", \"epoch1_s\": %.6f, \"cached_epoch_s\": "
-        "%.6f, \"cached_speedup\": %.3f, \"legacy_epoch_s\": %.6f, "
+        "%.6f, \"cached_speedup\": %.3f, "
         "\"prefetch_off_s\": %.6f, \"prefetch_on_s\": %.6f, \"plan_hits\": "
         "%lld, \"incidence_builds\": %lld}%s\n",
         row.model.c_str(), row.epoch1_s, row.cached_epoch_s,
         row.cached_epoch_s > 0.0 ? row.epoch1_s / row.cached_epoch_s : 0.0,
-        row.legacy_epoch_s, row.prefetch_off_s, row.prefetch_on_s,
+        row.prefetch_off_s, row.prefetch_on_s,
         static_cast<long long>(row.plan_hits),
         static_cast<long long>(row.incidence_builds),
         i + 1 < families.size() ? "," : "");

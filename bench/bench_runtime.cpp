@@ -8,18 +8,15 @@
 //     on a 1-core CI VM every width collapses to the caller lane and the
 //     rows document overhead, not speedup — `cores` is stamped into the
 //     JSON so the reader can tell which regime produced the numbers.
-//   * Composition — training and serving in one process used to mean two
-//     independent threading schemes (OpenMP kernels under the trainer vs
-//     request threads) oversubscribing each other. With the shared pool
-//     the same composed run holds its serve QPS while training, because
-//     both sides draw from one set of lanes. SPTX_RUNTIME=legacy replays
-//     the composed run on the historical threading for comparison.
+//   * Composition — training and serving in one process draw from one set
+//     of pool lanes instead of two threading schemes oversubscribing each
+//     other, so a request thread keeps scoring at a sustained QPS while the
+//     trainer runs.
 //
 // Output is one JSON document on stdout — tools/run_benches.sh captures
 // it as BENCH_runtime.json for the PR-to-PR perf trajectory.
 #include <cstdio>
 #include <atomic>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -128,19 +125,15 @@ ScalingRow run_width(int width, const Csr& a, const Matrix& x, Matrix& c,
 }
 
 struct ComposedRow {
-  std::string mode;
   double train_s = 0.0;
   double serve_qps = 0.0;  // sustained while training runs
 };
 
 /// Train on the main thread while a request thread scores continuously —
 /// the oversubscription scenario the shared pool exists for.
-ComposedRow run_composed(const std::string& mode, const kg::Dataset& ds,
-                         Engine& engine,
+ComposedRow run_composed(const kg::Dataset& ds, Engine& engine,
                          const std::vector<Triplet>& stream) {
-  config::ScopedOverride override_mode("SPTX_RUNTIME", mode);
   ComposedRow row;
-  row.mode = mode;
 
   std::atomic<bool> stop{false};
   std::atomic<std::int64_t> served{0};
@@ -232,8 +225,7 @@ int main() {
   std::printf(
       "  \"caveat\": \"widths beyond `cores` cannot speed anything up — on "
       "a 1-core host every row measures pool overhead at parity, not "
-      "scaling, and the composed pool-vs-legacy comparison degenerates to "
-      "timeslicing (no oversubscription exists to win back)\",\n");
+      "scaling, and the composed run degenerates to timeslicing\",\n");
   std::printf("  \"dataset\": {\"entities\": %lld, \"relations\": %lld, "
               "\"train\": %lld},\n",
               static_cast<long long>(ds.num_entities()),
@@ -258,17 +250,10 @@ int main() {
   std::printf("  ],\n");
 
   runtime::TaskPool::instance().resize(cores > 0 ? cores : 1);
-  std::printf("  \"composed\": [\n");
-  const char* const modes[] = {"pool", "legacy"};
-  for (int m = 0; m < 2; ++m) {
-    const ComposedRow row = run_composed(modes[m], ds, engine, stream);
-    std::printf("    {\"mode\": \"%s\", \"train_s\": %.6f, "
-                "\"serve_qps_during_training\": %.1f}%s\n",
-                row.mode.c_str(), row.train_s, row.serve_qps,
-                m == 0 ? "," : "");
-    std::fflush(stdout);
-  }
-  std::printf("  ],\n");
+  const ComposedRow composed = run_composed(ds, engine, stream);
+  std::printf("  \"composed\": {\"train_s\": %.6f, "
+              "\"serve_qps_during_training\": %.1f},\n",
+              composed.train_s, composed.serve_qps);
   std::printf("  \"pool_stats\": %s\n",
               runtime::TaskPool::instance().stats_json().c_str());
   std::printf("}\n");

@@ -30,12 +30,9 @@ constexpr ConfigSpec kSpecs[] = {
      "single-pass fused path for every family that provides it, off keeps "
      "the legacy autograd graph (bit-identical to the historical path).",
      "auto|on|off"},
-    {"SPTX_PLAN_CACHE", ConfigType::kFlag, "",
-     "Override TrainConfig::plan_cache: compile batch plans once and reuse "
-     "them across epochs (off = legacy per-batch rebuild loop)."},
     {"SPTX_PREFETCH", ConfigType::kFlag, "",
-     "Override TrainConfig::prefetch: compile epoch e+1's plans on a "
-     "background thread while epoch e executes."},
+     "Override TrainConfig::prefetch: compile epoch e+1's plans as a "
+     "kPrefetch pool task while epoch e executes."},
     {"SPTX_DDP_WORKERS", ConfigType::kInt, "",
      "Override DdpConfig::workers: thread-backed data-parallel worker "
      "count."},
@@ -134,12 +131,6 @@ constexpr ConfigSpec kSpecs[] = {
     {"SPTX_FAULT_SEED", ConfigType::kInt, "",
      "Seed for probabilistic (eio) fault-injection rules; the same spec + "
      "seed faults the same hits in every run."},
-    {"SPTX_RUNTIME", ConfigType::kEnum, "pool",
-     "Threading backend: 'pool' schedules every parallel site (SpMM "
-     "kernels, epoch prefetch, DDP workers, serving, ANN builds) on the "
-     "shared work-stealing runtime::TaskPool; 'legacy' keeps the historical "
-     "per-site threads as a bit-identical escape hatch.",
-     "pool|legacy"},
     {"SPTX_RUNTIME_THREADS", ConfigType::kInt, "",
      "Width of the shared task pool, including the calling lane (N means "
      "N-1 background workers). Default: hardware concurrency. Latched when "
@@ -265,7 +256,6 @@ void RuntimeConfig::refresh_hot() {
   hot_.spmm_kernel = to_lower(value_or("SPTX_SPMM_KERNEL", "auto"));
   hot_.spmm_backward = to_lower(value_or("SPTX_SPMM_BACKWARD", "auto"));
   hot_.fused_off = to_lower(value_or("SPTX_FUSED", "auto")) == "off";
-  hot_.runtime_pool = to_lower(value_or("SPTX_RUNTIME", "pool")) != "legacy";
 }
 
 std::size_t RuntimeConfig::index_of(std::string_view name) {

@@ -121,7 +121,6 @@ class RuntimeConfig {
   struct HotKnobs {
     bool no_simd = false;
     bool fused_off = false;              // SPTX_FUSED == "off"
-    bool runtime_pool = true;            // SPTX_RUNTIME != "legacy"
     std::string spmm_kernel = "auto";    // lowercased
     std::string spmm_backward = "auto";  // lowercased
   };

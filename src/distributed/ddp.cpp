@@ -7,7 +7,6 @@
 #include <exception>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "src/common/error.hpp"
@@ -247,13 +246,24 @@ DdpResult train_ddp(
       {
         // Synchronization contract (checked by inspection — there are no
         // locks here for the thread-safety analysis to verify): the
-        // worker/driver handshake is pure fork/join. Each worker writes
-        // only its own disjoint slots of shard_grads / shard_loss /
-        // errors / support_verified (indexed by shard or worker id), and
-        // the driver reads them only after every join() below — the joins
-        // are the sole happens-before edges, so no slot needs a mutex or
-        // atomic. Anything cross-worker (profiling counters, the fault
+        // worker/driver handshake is pure fork/join, with the fork
+        // expressed as pool tasks and TaskGroup::wait() as the join. Each
+        // worker writes only its own disjoint slots of shard_grads /
+        // shard_loss / errors / support_verified (indexed by shard or
+        // worker id), and the driver reads them only after wait() — the
+        // join is the sole happens-before edge, so no slot needs a mutex
+        // or atomic. Anything cross-worker (profiling counters, the fault
         // harness, workspace pools) is independently thread-safe.
+        //
+        // Logical worker w keeps its id whatever lane runs it, so the
+        // shard assignment s = w, w+p, ... — and with it the
+        // die@epoch:worker fault sites and the shard-index-ordered
+        // reduction — does not depend on the pool width. Workers running
+        // as pool tasks execute their fused kernels on the same pool:
+        // nested parallel_for composes instead of oversubscribing. On a
+        // pool with too few (or zero) background workers the wait()ing
+        // driver executes the queued worker bodies itself — execution
+        // placement changes, results do not.
         //
         // Worker exceptions (bad_alloc compiling a plan, a failed
         // SPTX_CHECK, an injected ddp_worker fault) are captured at the
@@ -268,37 +278,17 @@ DdpResult train_ddp(
             errors[static_cast<std::size_t>(w)] = std::current_exception();
           }
         };
-        if (runtime::use_pool()) {
-          // The same fork/join handshake, with the fork expressed as pool
-          // tasks: logical worker w keeps its id (so the shard assignment
-          // s = w, w+p, ... — and with it the die@epoch:worker fault sites
-          // and the shard-index-ordered reduction — is bit-identical to
-          // the thread-per-worker legacy path), and TaskGroup::wait() is
-          // the join edge. Workers running as pool tasks execute their
-          // fused kernels on the same pool: nested parallel_for composes
-          // instead of oversubscribing. On a pool with too few (or zero)
-          // background workers the wait()ing driver executes the queued
-          // worker bodies itself — execution placement changes, results
-          // do not.
-          runtime::TaskGroup tg;
-          auto& pool = runtime::TaskPool::instance();
-          for (int w = 1; w < p; ++w)
-            pool.submit(
-                tg, [&guarded, w] { guarded(w); },
-                runtime::TaskClass::kDdp);
-          guarded(0);  // the driving thread is worker 0
-          tg.wait();
-        } else {
-          std::vector<std::thread> threads;
-          threads.reserve(static_cast<std::size_t>(p - 1));
-          for (int w = 1; w < p; ++w) threads.emplace_back(guarded, w);
-          guarded(0);  // the driving thread is worker 0
-          for (auto& t : threads) t.join();
-        }
+        runtime::TaskGroup tg;
+        auto& pool = runtime::TaskPool::instance();
+        for (int w = 1; w < p; ++w)
+          pool.submit(
+              tg, [&guarded, w] { guarded(w); }, runtime::TaskClass::kDdp);
+        guarded(0);  // the driving thread is worker 0
+        tg.wait();
 
         // Clean abort: flush the (consistent — a batch's update is
         // all-or-nothing) parameters so nothing is lost, then raise the
-        // typed error. Never hangs: all threads are already joined.
+        // typed error. Never hangs: every worker task has already finished.
         auto abort_run = [&](const std::exception_ptr& cause) {
           std::string why = "unknown error";
           try {

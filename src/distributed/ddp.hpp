@@ -5,7 +5,7 @@
 // (Table 9). This environment has no GPUs, so we build the DDP mechanics
 // ourselves and measure/model the scaling:
 //
-//  * train_ddp — real multi-worker data parallelism over std::threads for
+//  * train_ddp — real multi-worker data parallelism over pool tasks for
 //    ANY models::KgeModel. Every batch is cut into fixed-size shards; each
 //    worker drives its replica through the compiled-batch pipeline (the
 //    model's ScoringRecipe, per-worker sparse::PlanCache — zero incidence

@@ -181,7 +181,7 @@ class KgeModel {
 
 /// Base for the sparse model families: the forward pass is a ScoringRecipe
 /// (which incidence builders the batch needs — pure data, compiled by
-/// sparse::CompiledBatch possibly on a prefetch thread) plus a scoring core
+/// sparse::CompiledBatch possibly in a prefetch task) plus a scoring core
 /// (the model-specific SpMMs and reduction over the pre-built structures).
 /// distance() and loss() dedupe here: subclasses keep only recipe(),
 /// forward(), the non-autograd score() and constrain().
@@ -217,9 +217,9 @@ class ScoringCoreModel : public KgeModel {
   /// (SPTX_FUSED=off keeps the historical path bit-identical).
   autograd::Variable run_forward(const sparse::CompiledBatch& batch);
 
-  /// Span path: compiles an ephemeral plan, then runs the core — the
-  /// legacy per-batch rebuild behaviour, kept for external callers and as
-  /// the reference path the plan cache is tested against.
+  /// Span path: compiles an ephemeral plan, then runs the core. Kept for
+  /// external callers and as the reference the compiled-plan forward is
+  /// tested against (ForwardOverPlanMatchesSpanDistance).
   autograd::Variable distance(std::span<const Triplet> batch);
 
   /// Ranking loss over two compiled batches — the staged trainer's path.

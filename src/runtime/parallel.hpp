@@ -5,9 +5,7 @@
 // serial cutoff and the chunk size). Two differences:
 //
 //  * Scheduling runs on runtime::TaskPool (one process-wide view of
-//    parallelism; nested regions compose instead of oversubscribing) unless
-//    SPTX_RUNTIME=legacy selects the historical OpenMP/serial path, which
-//    is kept bit-identical as an escape hatch.
+//    parallelism; nested regions compose instead of oversubscribing).
 //  * Tiny trip counts are guaranteed inline: when n <= grain (or the pool
 //    is one lane wide) the body runs on the caller with zero pool
 //    round-trips — no task is submitted, no lock is taken, and the
@@ -16,10 +14,6 @@
 #pragma once
 
 #include <cstdint>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "src/profiling/counters.hpp"
 #include "src/runtime/task_pool.hpp"
@@ -37,19 +31,6 @@ void parallel_for(std::int64_t begin, std::int64_t end, const Body& body,
   const std::int64_t n = end - begin;
   if (n <= 0) return;
   if (grain < 1) grain = 1;
-  if (!use_pool()) {
-    // Legacy escape hatch: the exact pre-runtime implementation.
-#ifdef _OPENMP
-    if (n > grain && omp_get_max_threads() > 1 && !omp_in_parallel()) {
-      const int chunk = static_cast<int>(grain > 1 << 20 ? 1 << 20 : grain);
-#pragma omp parallel for schedule(dynamic, chunk)
-      for (std::int64_t i = begin; i < end; ++i) body(i);
-      return;
-    }
-#endif
-    for (std::int64_t i = begin; i < end; ++i) body(i);
-    return;
-  }
   if (n <= grain || TaskPool::instance().threads() <= 1) {
     profiling::count_event(profiling::Counter::kRuntimeInlineLoops);
     for (std::int64_t i = begin; i < end; ++i) body(i);

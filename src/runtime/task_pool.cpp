@@ -11,10 +11,6 @@
 #include <thread>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "src/common/error.hpp"
 #include "src/common/runtime_config.hpp"
 #include "src/profiling/counters.hpp"
@@ -686,9 +682,7 @@ TaskPool::Stats TaskPool::stats() const {
 
 std::string TaskPool::stats_json() const {
   const Stats s = stats();
-  std::string out = "{\"mode\": \"";
-  out += use_pool() ? "pool" : "legacy";
-  out += "\", \"threads\": " + std::to_string(s.threads);
+  std::string out = "{\"threads\": " + std::to_string(s.threads);
   out += ", \"partitions\": " + std::to_string(s.partitions);
   out += ", \"queue_depth\": " + std::to_string(s.queue_depth);
   out += ", \"parked_workers\": " + std::to_string(s.parked_workers);
@@ -763,15 +757,6 @@ const char* task_class_name(TaskClass c) {
   return "unknown";
 }
 
-bool use_pool() { return config::current()->hot().runtime_pool; }
-
-int num_threads() {
-  if (use_pool()) return TaskPool::instance().threads();
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return hardware_threads();
-#endif
-}
+int num_threads() { return TaskPool::instance().threads(); }
 
 }  // namespace sptx::runtime

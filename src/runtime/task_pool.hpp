@@ -29,9 +29,8 @@
 // drain queued tasks instead of blocking, so submit()+wait() works on a
 // zero-worker pool.
 //
-// Knobs (runtime-config registry): SPTX_RUNTIME=pool|legacy selects this
-// pool or the historical per-site threading (bit-identical escape hatch);
-// SPTX_RUNTIME_THREADS caps the pool width (default: hardware concurrency).
+// Knob (runtime-config registry): SPTX_RUNTIME_THREADS caps the pool width
+// (default: hardware concurrency).
 #pragma once
 
 #include <atomic>
@@ -182,7 +181,7 @@ class TaskPool {
   Stats stats() const;
 
   /// The stats as a JSON object (Engine::health_json embeds it verbatim):
-  /// {"mode": ..., "threads": ..., "queue_depth": ..., "steal_ratio": ...,
+  /// {"threads": ..., "queue_depth": ..., "steal_ratio": ...,
   ///  "classes": {"kernel": {...}, ...}}.
   std::string stats_json() const;
 
@@ -200,37 +199,24 @@ class TaskPool {
   static void help_group(TaskGroup& group);
 };
 
-/// True when SPTX_RUNTIME resolves to the shared pool (the default);
-/// false selects the legacy per-site threading, bit-identical to the
-/// pre-runtime code paths.
-bool use_pool();
-
 /// Worker-thread budget the parallel code sizes itself against: the pool
-/// width under SPTX_RUNTIME=pool, the historical OpenMP/hardware count
-/// under legacy. (The SpMM auto-kernel heuristics consult this.)
+/// width. (The SpMM auto-kernel heuristics consult this.)
 int num_threads();
 
-/// RAII join-on-destruction thread for the legacy escape-hatch code paths
-/// (SPTX_RUNTIME=legacy keeps the trainer's dedicated prefetch thread).
-/// Raw std::thread construction is lint-banned outside src/runtime/ — the
-/// legacy sites spawn through this wrapper so the ban stays meaningful.
+/// RAII join-on-destruction thread for the one dedicated thread that must
+/// not be a pool task: the procs-DDP worker's heartbeat, which has to keep
+/// beating while every pool lane is busy with shard work. Raw std::thread
+/// construction is lint-banned outside src/runtime/ — that site spawns
+/// through this wrapper so the ban stays meaningful.
 class Thread {
  public:
-  Thread() = default;
   template <typename Fn>
   explicit Thread(Fn&& fn) : t_(std::forward<Fn>(fn)) {}
-  Thread(Thread&&) = default;
-  Thread& operator=(Thread&& other) {
-    if (t_.joinable()) t_.join();
-    t_ = std::move(other.t_);
-    return *this;
-  }
+  Thread(const Thread&) = delete;
+  Thread& operator=(const Thread&) = delete;
   ~Thread() {
     if (t_.joinable()) t_.join();
   }
-
-  bool joinable() const { return t_.joinable(); }
-  void join() { t_.join(); }
 
  private:
   std::thread t_;

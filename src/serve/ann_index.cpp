@@ -63,9 +63,7 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const Matrix& table,
   // Runtime accounting: the build runs on the publisher's thread, but its
   // k-means passes below are pool parallel regions — tag the whole build
   // under the kAnnBuild class so health can attribute the pool traffic.
-  if (runtime::use_pool())
-    runtime::TaskPool::instance().record_external(
-        runtime::TaskClass::kAnnBuild);
+  runtime::TaskPool::instance().record_external(runtime::TaskClass::kAnnBuild);
   const index_t n = num_entities;
   const index_t d = table.cols();
   const bool vec = simd_enabled();

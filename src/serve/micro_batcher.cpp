@@ -170,8 +170,7 @@ RejectReason MicroBatcher::try_execute(std::span<const Triplet> triplets,
     // kernels inside score_ run their parallel regions on the shared pool —
     // serving compute and training compute draw on one thread budget
     // instead of two schemes assuming they own the machine.
-    if (runtime::use_pool())
-      runtime::TaskPool::instance().record_external(runtime::TaskClass::kServe);
+    runtime::TaskPool::instance().record_external(runtime::TaskClass::kServe);
 
     if (batch.size() == 1) {
       // Solo request: no concatenation, score the span directly.

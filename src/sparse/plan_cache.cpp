@@ -12,7 +12,7 @@ namespace {
 
 /// Pre-build the backward-pass transpose when the SpMM engine would take the
 /// cached-transpose path for this shape: the build then happens at plan
-/// compilation (possibly on the prefetch thread) instead of inside the first
+/// compilation (possibly in the prefetch task) instead of inside the first
 /// backward of the epoch.
 void maybe_warm_transpose(const Csr& a, index_t dim) {
   if (dim > 0 && spmm_backward_uses_transpose(a, dim)) a.transposed();

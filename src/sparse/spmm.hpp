@@ -9,7 +9,7 @@
 //   kNaive          plain row loop, the reference implementation
 //   kUnrolled       inner dim unrolled by 4 (§2's loop unrolling)
 //   kTiled          cache-blocked column panels × row blocks (§2's tiling)
-//   kParallel       OpenMP dynamic over rows, unrolled scalar inner loop
+//   kParallel       pool parallel_for over rows, unrolled scalar inner loop
 //   kSimd           AVX2/FMA register-blocked rows; ±1 coefficients take a
 //                   multiply-free add/sub path (incidence matrices only ever
 //                   hold ±1). Falls back to kUnrolled without AVX2+FMA.
@@ -32,7 +32,7 @@ enum class SpmmKernel {
   kNaive,          // plain row loop
   kUnrolled,       // inner dim unrolled by 4
   kTiled,          // cache-blocked: column panels × row blocks (§2's tiling)
-  kParallel,       // OpenMP dynamic over rows, unrolled inner loop
+  kParallel,       // pool parallel_for over rows, unrolled inner loop
   kSimd,           // AVX2/FMA register-blocked, ±1-specialised, serial
   kTiledParallel,  // parallel row blocks × column panels, SIMD inner loop
   kAuto,           // pick from (nnz, rows, dim, threads) at call time
@@ -68,7 +68,7 @@ void spmm_coo_into(const Coo& a, const Matrix& x, Matrix& c);
 /// Would spmm_csr_transposed_accumulate take the cached-transpose path for
 /// (a, dim) under the current thread count and SPTX_SPMM_BACKWARD setting?
 /// Exposed so batch-plan compilation can pre-build A.transposed() off the
-/// training hot path (possibly on the prefetch thread) instead of inside
+/// training hot path (possibly in the prefetch task) instead of inside
 /// the first backward pass of the epoch.
 bool spmm_backward_uses_transpose(const Csr& a, index_t dim);
 

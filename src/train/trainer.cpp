@@ -24,14 +24,6 @@ namespace sptx::train {
 
 namespace {
 
-/// Joins on destruction so an exception unwinding past a live prefetch
-/// thread never reaches std::thread's terminating destructor (legacy-mode
-/// prefetch; the pool path gets the same guarantee from TaskGroup's
-/// draining destructor).
-struct JoiningThread {
-  runtime::Thread t;
-};
-
 /// Fisher–Yates with the run's RNG (reproducible given the seed).
 void shuffle_positions(std::vector<index_t>& positions, Rng& rng) {
   for (std::size_t i = positions.size(); i > 1; --i) {
@@ -40,7 +32,7 @@ void shuffle_positions(std::vector<index_t>& positions, Rng& rng) {
   }
 }
 
-/// Shared per-run state the two pipeline variants both drive.
+/// Per-run state the pipeline drives.
 struct TrainLoop {
   models::KgeModel& model;
   const TripletStore& data;
@@ -105,18 +97,15 @@ struct TrainLoop {
   sparse::RowSupport touched;
   bool row_sparse_started = false;
 
-  /// One forward/backward/step over a batch-loss closure. With `plan` (the
-  /// planned pipeline) the step is row-sparse: the optimizer updates and
-  /// clears only the rows the batch touched, and post_step renormalises
-  /// only those — after a first batch that checks the model's index spaces
-  /// and renormalises every row, so that every untouched row is already
-  /// unit length and the result stays bit-identical to the all-rows form.
-  /// When the optimizer moves every row (weight decay, clipping) so does
-  /// post_step.
-  /// Without a plan (the legacy loop): zero_grad, step(), post_step().
+  /// One forward/backward/step over a batch-loss closure. The step is
+  /// row-sparse: the optimizer updates and clears only the rows `plan`
+  /// touched, and post_step renormalises only those — after a first batch
+  /// that checks the model's index spaces and renormalises every row, so
+  /// that every untouched row is already unit length and the result stays
+  /// bit-identical to the all-rows form. When the optimizer moves every
+  /// row (weight decay, clipping) so does post_step.
   template <typename LossFn>
-  float run_batch(const LossFn& batch_loss, const BatchPlan* plan) {
-    if (plan == nullptr) opt->zero_grad();
+  float run_batch(const LossFn& batch_loss, const BatchPlan& plan) {
     autograd::Variable loss;
     {
       profiling::ScopedAccum fwd(result.phases.forward_s);
@@ -128,23 +117,17 @@ struct TrainLoop {
     }
     {
       profiling::ScopedAccum stp(result.phases.step_s);
-      if (plan == nullptr) {
-        opt->step();
+      touched.assign_union(plan.pos->row_support(), plan.neg->row_support());
+      opt->step(touched);
+      if (!row_sparse_started) {
+        std::vector<autograd::Variable> params = opt->params();
+        nn::verify_support_exhausts_grads(params, model.name());
+        row_sparse_started = true;
         model.post_step();
+      } else if (opt->row_sparse()) {
+        model.post_step(touched);
       } else {
-        touched.assign_union(plan->pos->row_support(),
-                             plan->neg->row_support());
-        opt->step(touched);
-        if (!row_sparse_started) {
-          std::vector<autograd::Variable> params = opt->params();
-          nn::verify_support_exhausts_grads(params, model.name());
-          row_sparse_started = true;
-          model.post_step();
-        } else if (opt->row_sparse()) {
-          model.post_step(touched);
-        } else {
-          model.post_step();  // weight decay / clipping moved every row
-        }
+        model.post_step();  // weight decay / clipping moved every row
       }
     }
     return loss.value().at(0, 0);
@@ -158,10 +141,8 @@ struct TrainLoop {
   }
 
   /// Write the rotated crash-safe checkpoint for the just-completed epoch.
-  /// `positions` is the permutation the NEXT epoch consumes (the planned
-  /// pipeline checkpoints after adopting epoch e+1's inputs; the legacy
-  /// pipeline re-derives at each epoch top, so "current" is right there
-  /// too).
+  /// `positions` is the permutation the NEXT epoch consumes (the pipeline
+  /// checkpoints after adopting epoch e+1's inputs).
   void write_checkpoint(int epoch, const std::vector<index_t>& positions) {
     models::TrainCheckpointState st;
     st.next_epoch = epoch + 1;
@@ -306,17 +287,16 @@ void run_planned(TrainLoop& loop) {
     loop.apply_schedule(epoch);
 
     // Stage 1 for epoch e+1: the driving thread derives all RNG-dependent
-    // inputs (so the stream matches the legacy loop exactly), then the
-    // compile runs in the background while this epoch executes — or
-    // synchronously when prefetch is off.
+    // inputs (so the stream does not depend on prefetch), then the compile
+    // runs as a pool task while this epoch executes — or synchronously
+    // when prefetch is off.
     std::vector<BatchPlan> next_plans;
     std::vector<Triplet> next_negatives;
     std::vector<index_t> next_positions;
     std::exception_ptr prefetch_error;
-    // Declared after everything the worker writes: unwinding destroys in
-    // reverse order, so the joining/draining destructor runs while those
-    // locals are still alive.
-    JoiningThread worker;
+    // Declared after everything the task writes: unwinding destroys in
+    // reverse order, so the draining destructor runs while those locals
+    // are still alive.
     runtime::TaskGroup prefetch_group;
     bool have_next = false;
     // Next-epoch compilation done inside this epoch's wall (sync mode);
@@ -342,13 +322,12 @@ void run_planned(TrainLoop& loop) {
             recipe, &cache);
       };
       if (prefetch) {
-        // Exceptions on the worker (bad_alloc compiling a large epoch, a
+        // Exceptions in the task (bad_alloc compiling a large epoch, a
         // failed SPTX_CHECK) are captured and rethrown at the join point —
-        // same surface the legacy path gives the caller. compile_next is
-        // copied into the task/thread: it outlives this block. Under
-        // SPTX_RUNTIME=pool the compile is a kPrefetch task on the shared
-        // pool (a zero-worker pool runs it inside the wait below, which is
-        // exactly sync-mode semantics); legacy keeps the dedicated thread.
+        // the same surface sync mode gives the caller. compile_next is
+        // copied into the task: it outlives this block. The compile is a
+        // kPrefetch task on the shared pool (a zero-worker pool runs it
+        // inside the wait below, which is exactly sync-mode semantics).
         auto guarded_compile = [compile_next, &prefetch_error]() {
           try {
             compile_next();
@@ -356,13 +335,9 @@ void run_planned(TrainLoop& loop) {
             prefetch_error = std::current_exception();
           }
         };
-        if (runtime::use_pool()) {
-          runtime::TaskPool::instance().submit(
-              prefetch_group, std::move(guarded_compile),
-              runtime::TaskClass::kPrefetch);
-        } else {
-          worker.t = runtime::Thread(std::move(guarded_compile));
-        }
+        runtime::TaskPool::instance().submit(prefetch_group,
+                                             std::move(guarded_compile),
+                                             runtime::TaskClass::kPrefetch);
       } else {
         profiling::ScopedAccum plan_timer(loop.result.plan_compile_s);
         const auto t0 = profiling::clock::now();
@@ -387,7 +362,7 @@ void run_planned(TrainLoop& loop) {
                            : loop.model.loss(bp.pos->triplets(),
                                              bp.neg->triplets());
           },
-          &bp);
+          bp);
       ++batches;
     }
 
@@ -400,9 +375,8 @@ void run_planned(TrainLoop& loop) {
     // time — they are the pipeline bubble prefetch exists to hide).
     // Adoption runs even when early stopping fires so a checkpoint taken
     // here captures the state a resumed run continues from.
-    if (worker.t.joinable() || prefetch_group.pending() > 0) {
+    if (prefetch_group.pending() > 0) {
       profiling::ScopedAccum plan_timer(loop.result.plan_compile_s);
-      if (worker.t.joinable()) worker.t.join();
       prefetch_group.wait();
     }
     if (prefetch_error) std::rethrow_exception(prefetch_error);
@@ -422,85 +396,10 @@ void run_planned(TrainLoop& loop) {
   loop.result.plan_stats = cache.stats();
 }
 
-/// The seed's per-batch rebuild loop, kept verbatim as the reference path
-/// (SPTX_PLAN_CACHE=0): every batch re-stages its pairs and every
-/// distance() call rebuilds its incidence from raw triplets.
-void run_legacy(TrainLoop& loop) {
-  const TrainConfig& config = loop.config;
-  const TripletStore& data = loop.data;
-  const int k = config.negatives_per_positive;
-  const index_t m = data.size();
-
-  std::vector<index_t> positions(static_cast<std::size_t>(m));
-  for (std::size_t i = 0; i < positions.size(); ++i)
-    positions[i] = static_cast<index_t>(i);
-  // A resumed run starts from the permutation the checkpointing epoch left
-  // behind: this loop shuffles in place at each epoch top, so the next
-  // shuffle must act on the same array state the uninterrupted run had.
-  if (loop.resumed && config.shuffle) {
-    SPTX_CHECK(loop.restored_positions.size() == positions.size(),
-               "checkpoint has no shuffle permutation — it was written by a "
-               "run with shuffle off");
-    positions = loop.restored_positions;
-  }
-
-  for (int epoch = loop.start_epoch; epoch < config.epochs; ++epoch) {
-    const auto epoch_start = profiling::clock::now();
-    loop.apply_schedule(epoch);
-
-    if (config.resample_negatives && epoch > 0) {
-      loop.negatives = loop.sampler.pregenerate_k(data.triplets(), k, loop.rng);
-    }
-    if (config.shuffle) shuffle_positions(positions, loop.rng);
-
-    double loss_sum = 0.0;
-    index_t batches = 0;
-    std::vector<Triplet> pos_staged, neg_staged;  // shuffle / k>1 buffers
-    for (index_t begin = 0; begin < m; begin += config.batch_size) {
-      const index_t count = std::min<index_t>(config.batch_size, m - begin);
-      std::span<const Triplet> pos_batch;
-      std::span<const Triplet> neg_batch;
-      if (!config.shuffle && k == 1) {
-        // Fast path: contiguous views, no copies.
-        pos_batch = data.slice(begin, count);
-        neg_batch = {loop.negatives.data() + begin,
-                     static_cast<std::size_t>(count)};
-      } else {
-        // Stage the (possibly permuted) pairs; with k > 1 the positives
-        // tile k times against each repetition block of pregenerate_k.
-        pos_staged.clear();
-        neg_staged.clear();
-        for (int rep = 0; rep < k; ++rep) {
-          for (index_t i = begin; i < begin + count; ++i) {
-            const index_t p = positions[static_cast<std::size_t>(i)];
-            pos_staged.push_back(data[p]);
-            neg_staged.push_back(
-                loop.negatives[static_cast<std::size_t>(rep) *
-                                   static_cast<std::size_t>(m) +
-                               static_cast<std::size_t>(p)]);
-          }
-        }
-        pos_batch = pos_staged;
-        neg_batch = neg_staged;
-      }
-
-      loss_sum += loop.run_batch(
-          [&]() { return loop.model.loss(pos_batch, neg_batch); }, nullptr);
-      ++batches;
-    }
-
-    const bool stop = loop.finish_epoch(epoch, loss_sum, batches, epoch_start,
-                                        0.0);
-    if (loop.should_checkpoint(epoch)) loop.write_checkpoint(epoch, positions);
-    if (stop) break;
-  }
-}
-
 }  // namespace
 
 TrainConfig resolve(const TrainConfig& config, const RuntimeConfig& rc) {
   TrainConfig resolved = config;
-  resolved.plan_cache = rc.flag_or("SPTX_PLAN_CACHE", config.plan_cache);
   resolved.prefetch = rc.flag_or("SPTX_PREFETCH", config.prefetch);
   resolved.checkpoint_every = static_cast<int>(
       rc.int_or("SPTX_CHECKPOINT_EVERY", config.checkpoint_every));
@@ -535,11 +434,7 @@ TrainResult train(models::KgeModel& model, const TripletStore& data,
   ScopedWorkspace workspace;
   const auto t_start = profiling::clock::now();
 
-  if (resolved.plan_cache) {
-    run_planned(loop);
-  } else {
-    run_legacy(loop);
-  }
+  run_planned(loop);
 
   loop.result.total_seconds = profiling::seconds_since(t_start);
   loop.result.peak_bytes = memory_window.peak_bytes();

@@ -15,7 +15,7 @@
 // protocol (no shuffle, no negative resampling) the schedule is
 // epoch-invariant and every epoch after the first runs with zero incidence
 // rebuilds; shuffle / resample_negatives invalidate the cache and
-// recompile, optionally on a background prefetch thread that compiles epoch
+// recompile, optionally as a pool prefetch task that compiles epoch
 // e+1 while epoch e executes (double buffering — bit-exact either way,
 // because all RNG stays on the driving thread).
 #pragma once
@@ -70,12 +70,7 @@ struct TrainConfig {
   /// (0 = off) — forwarded to the optimizer.
   float weight_decay = 0.0f;
   float grad_clip_norm = 0.0f;
-  /// Compile batch plans (staged pairs + pre-built incidence, batch_plan.hpp)
-  /// and cache them across epochs. Off = the legacy per-batch rebuild path,
-  /// kept as the reference the plan pipeline is tested bit-exact against.
-  /// SPTX_PLAN_CACHE=0|1 overrides.
-  bool plan_cache = true;
-  /// Compile epoch e+1's plans on a background thread while epoch e
+  /// Compile epoch e+1's plans as a kPrefetch pool task while epoch e
   /// executes. Only engages when shuffle / resample_negatives invalidate
   /// plans every epoch (otherwise the cache already serves them).
   /// SPTX_PREFETCH=0|1 overrides.
@@ -85,9 +80,7 @@ struct TrainConfig {
   /// buffers) to `<checkpoint_path>.ep<N>` after every `checkpoint_every`
   /// completed epochs. A run resumed from such a checkpoint continues the
   /// exact trajectory — final parameters are bit-identical to the
-  /// uninterrupted run (given the same plan_cache setting; the two
-  /// pipelines stage their RNG differently). SPTX_CHECKPOINT_EVERY
-  /// overrides.
+  /// uninterrupted run. SPTX_CHECKPOINT_EVERY overrides.
   int checkpoint_every = 0;
   /// Base path for rotated checkpoints; required when checkpoint_every > 0.
   std::string checkpoint_path;

@@ -1,21 +1,25 @@
 // BatchPlan compilation pipeline tests.
 //
-// The plan/execute split must be invisible to the math: training through
-// cached (and prefetched) plans has to reproduce the legacy per-batch
-// rebuild path bit-for-bit for every model family, while the profiling
-// counters prove the structural claims — zero incidence rebuilds after the
-// first epoch of an invariant schedule, full invalidation under shuffle /
-// negative resampling, and candidate-plan reuse across repeated
-// evaluations. Extends the kernel-equivalence pattern one layer up: instead
-// of kernels against a dense reference, whole training runs against the
-// reference pipeline.
+// The plan/execute split must be invisible to the math. Two differentials
+// pin it down: every compiled plan stages exactly the (positive, negative)
+// pairs the §5.3 loop pairs directly — permutation, k-way tiling and
+// resampled negatives included — and the scoring core over a compiled plan
+// matches the span-based distance() bit-for-bit for every model family.
+// The profiling counters prove the structural claims — zero incidence
+// rebuilds after the first epoch of an invariant schedule, full
+// invalidation under shuffle / negative resampling, and candidate-plan
+// reuse across repeated evaluations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/eval/link_prediction.hpp"
+#include "src/kg/negative_sampler.hpp"
 #include "src/kg/synthetic.hpp"
 #include "src/models/model.hpp"
 #include "src/profiling/counters.hpp"
@@ -79,46 +83,60 @@ void expect_identical_losses(const train::TrainResult& a,
 
 // ---- Bit-exactness of the compiled pipeline ------------------------------
 
-TEST(BatchPlan, PlannedMatchesLegacyBitExactAllFamilies) {
+TEST(BatchPlan, EpochPlansStageTheDirectPairing) {
   const kg::Dataset ds = small_dataset();
-  for (const std::string& name : all_models()) {
-    train::TrainConfig planned = base_config();
-    planned.plan_cache = true;
-    planned.prefetch = false;
-    train::TrainConfig legacy = planned;
-    legacy.plan_cache = false;
-    expect_identical_losses(run(name, ds, planned), run(name, ds, legacy),
-                            name + " invariant schedule");
-  }
-}
+  const TripletStore& data = ds.train;
+  const index_t m = data.size();
+  const int k = 3;
+  const index_t batch_size = 128;  // does not divide m: a short last batch
+  ASSERT_NE(m % batch_size, 0);
 
-TEST(BatchPlan, PlannedMatchesLegacyUnderShuffleAndResample) {
-  const kg::Dataset ds = small_dataset();
-  for (const std::string& name : all_models()) {
-    train::TrainConfig planned = base_config();
-    planned.shuffle = true;
-    planned.resample_negatives = true;
-    planned.negatives_per_positive = 2;
-    planned.plan_cache = true;
-    planned.prefetch = false;
-    train::TrainConfig legacy = planned;
-    legacy.plan_cache = false;
-    expect_identical_losses(run(name, ds, planned), run(name, ds, legacy),
-                            name + " shuffled/resampled schedule");
-  }
-}
+  // The RNG-driven inputs of a shuffled, resampled epoch: a permuted pair
+  // order and a fresh draw of k negatives per positive.
+  Rng rng(13);
+  kg::NegativeSampler sampler(data, kg::CorruptionScheme::kUniform);
+  const std::vector<Triplet> negatives =
+      sampler.pregenerate_k(data.triplets(), k, rng);
+  std::vector<index_t> positions(static_cast<std::size_t>(m));
+  for (std::size_t i = 0; i < positions.size(); ++i)
+    positions[i] = static_cast<index_t>(i);
+  for (std::size_t i = positions.size(); i > 1; --i)
+    std::swap(positions[i - 1], positions[rng.next_below(i)]);
 
-TEST(BatchPlan, KTilingInPlanMatchesLegacy) {
-  const kg::Dataset ds = small_dataset();
-  train::TrainConfig planned = base_config();
-  planned.negatives_per_positive = 3;  // epoch-invariant tiling in the plan
-  planned.plan_cache = true;
-  planned.prefetch = false;
-  train::TrainConfig legacy = planned;
-  legacy.plan_cache = false;
-  for (const std::string& name : {std::string("TransE"), std::string("TransH")})
-    expect_identical_losses(run(name, ds, planned), run(name, ds, legacy),
-                            name + " k=3 tiling");
+  train::EpochBatchSource src;
+  src.data = kg::TripletSource(data);
+  src.negatives = negatives;
+  src.positions = positions;
+  src.k = k;
+  src.batch_size = batch_size;
+  sparse::ScoringRecipe recipe;
+  recipe.hrt = true;
+  const std::vector<train::BatchPlan> plans =
+      train::compile_epoch_plans(src, recipe, /*cache=*/nullptr);
+
+  ASSERT_EQ(static_cast<index_t>(plans.size()),
+            (m + batch_size - 1) / batch_size);
+  for (std::size_t b = 0; b < plans.size(); ++b) {
+    const index_t begin = static_cast<index_t>(b) * batch_size;
+    const index_t count = std::min<index_t>(batch_size, m - begin);
+    const auto pos = plans[b].pos->triplets();
+    const auto neg = plans[b].neg->triplets();
+    ASSERT_EQ(static_cast<index_t>(pos.size()), k * count) << "batch " << b;
+    ASSERT_EQ(neg.size(), pos.size()) << "batch " << b;
+    // Repetition-major tiling: pair rep·count + j is positive
+    // positions[begin+j] against its rep-th corruption.
+    std::size_t pair = 0;
+    for (int rep = 0; rep < k; ++rep) {
+      for (index_t i = begin; i < begin + count; ++i, ++pair) {
+        const index_t p = positions[static_cast<std::size_t>(i)];
+        EXPECT_EQ(pos[pair], data[p]) << "batch " << b << " pair " << pair;
+        EXPECT_EQ(neg[pair], negatives[static_cast<std::size_t>(rep) *
+                                           static_cast<std::size_t>(m) +
+                                       static_cast<std::size_t>(p)])
+            << "batch " << b << " pair " << pair;
+      }
+    }
+  }
 }
 
 TEST(BatchPlan, PrefetchOnOffBitExact) {
@@ -128,7 +146,6 @@ TEST(BatchPlan, PrefetchOnOffBitExact) {
     train::TrainConfig on = base_config();
     on.shuffle = true;
     on.resample_negatives = true;
-    on.plan_cache = true;
     on.prefetch = true;
     train::TrainConfig off = on;
     off.prefetch = false;

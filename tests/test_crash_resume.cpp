@@ -14,7 +14,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <tuple>
 
 #include "src/common/error.hpp"
 #include "src/common/fault.hpp"
@@ -93,20 +92,17 @@ void remove_rotations(const std::string& base) {
 }
 
 // ---------------------------------------------------------------------------
-// Trainer checkpoint/resume — parameterised over family × pipeline.
+// Trainer checkpoint/resume — parameterised over model family.
 // ---------------------------------------------------------------------------
 
-using FamilyPipeline = std::tuple<const char*, bool>;  // (family, plan_cache)
-
-class CrashResumeTest : public ::testing::TestWithParam<FamilyPipeline> {
+class CrashResumeTest : public ::testing::TestWithParam<const char*> {
  protected:
   kg::Dataset ds = crash_dataset();
 
   std::unique_ptr<models::KgeModel> make(std::uint64_t seed) const {
     Rng rng(seed);
-    return models::make_sparse_model(std::get<0>(GetParam()),
-                                     ds.num_entities(), ds.num_relations(),
-                                     cfg8(), rng);
+    return models::make_sparse_model(GetParam(), ds.num_entities(),
+                                     ds.num_relations(), cfg8(), rng);
   }
 
   train::TrainConfig base_config() const {
@@ -119,14 +115,10 @@ class CrashResumeTest : public ::testing::TestWithParam<FamilyPipeline> {
     // must restore; a fixed-order run would pass with a broken RNG save.
     tc.shuffle = true;
     tc.resample_negatives = true;
-    tc.plan_cache = std::get<1>(GetParam());
     return tc;
   }
 
-  std::string tag() const {
-    return std::string(std::get<0>(GetParam())) +
-           (std::get<1>(GetParam()) ? "_planned" : "_legacy");
-  }
+  std::string tag() const { return GetParam(); }
 };
 
 TEST_P(CrashResumeTest, ResumeContinuesTheExactTrajectory) {
@@ -232,14 +224,8 @@ TEST_P(CrashResumeTest, KillMidCheckpointThenResumeIsBitIdentical) {
   remove_rotations(base);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    FamiliesAndPipelines, CrashResumeTest,
-    ::testing::Values(FamilyPipeline{"TransE", true},
-                      FamilyPipeline{"TransE", false},
-                      FamilyPipeline{"TransR", true},
-                      FamilyPipeline{"TransR", false},
-                      FamilyPipeline{"DistMult", true},
-                      FamilyPipeline{"DistMult", false}));
+INSTANTIATE_TEST_SUITE_P(Families, CrashResumeTest,
+                         ::testing::Values("TransE", "TransR", "DistMult"));
 
 TEST(CrashResume, RetentionPrunesOldRotations) {
   const kg::Dataset ds = crash_dataset();

@@ -222,44 +222,18 @@ TEST(EngineFreeze, SessionsAreIsolatedFromFurtherTraining) {
 
 TEST(EngineConfig, OverridesAreValidatedAndVisible) {
   Engine::Options options;
-  options.config_overrides = {{"SPTX_PLAN_CACHE", "0"},
+  options.config_overrides = {{"SPTX_PREFETCH", "0"},
                               {"SPTX_SPMM_KERNEL", "naive"}};
   options.install_process_config = false;
   Engine engine(options);
-  EXPECT_FALSE(engine.config().flag_or("SPTX_PLAN_CACHE", true));
+  EXPECT_FALSE(engine.config().flag_or("SPTX_PREFETCH", true));
   EXPECT_EQ(engine.config().value_or("SPTX_SPMM_KERNEL", ""), "naive");
-  EXPECT_EQ(engine.config().origin("SPTX_PLAN_CACHE"),
+  EXPECT_EQ(engine.config().origin("SPTX_PREFETCH"),
             ConfigOrigin::kOverride);
 
   Engine::Options bad;
   bad.config_overrides = {{"SPTX_TYPO", "1"}};
   EXPECT_THROW(Engine{bad}, Error);
-}
-
-TEST(EngineConfig, PlanCacheOverrideStillTrainsBitIdentically) {
-  // The registry override flips the execution strategy (legacy rebuild
-  // loop), which the plan pipeline is tested bit-exact against — so the
-  // losses must match the default engine run.
-  const kg::Dataset ds = tiny_dataset();
-  const ModelSpec spec = tiny_spec("TransE");
-  train::TrainConfig tc;
-  tc.epochs = 2;
-  tc.batch_size = 128;
-
-  Engine plain;
-  plain.create_model(spec, ds.num_entities(), ds.num_relations());
-  const auto with_cache = plain.train(ds.train, tc);
-
-  Engine::Options options;
-  options.config_overrides = {{"SPTX_PLAN_CACHE", "off"}};
-  options.install_process_config = false;
-  Engine overridden(options);
-  overridden.create_model(spec, ds.num_entities(), ds.num_relations());
-  const auto without_cache = overridden.train(ds.train, tc);
-
-  ASSERT_EQ(with_cache.epoch_loss.size(), without_cache.epoch_loss.size());
-  for (std::size_t e = 0; e < with_cache.epoch_loss.size(); ++e)
-    EXPECT_EQ(with_cache.epoch_loss[e], without_cache.epoch_loss[e]);
 }
 
 TEST(EngineModel, RequiresCreateBeforeUse) {

@@ -199,13 +199,18 @@ class RawThreadsRule(unittest.TestCase):
         self.assertIn("raw-threads", found[0])
         self.assertIn("foo.cpp", found[0])
 
-    def test_runtime_dir_and_ddp_fork_join_site_are_exempt(self):
-        files = {
-            "src/runtime/pool.cpp": "std::thread worker(loop);\n",
-            "src/distributed/ddp.cpp": "std::thread w(run_shard);\n",
-        }
+    def test_runtime_dir_is_exempt(self):
+        files = {"src/runtime/pool.cpp": "std::thread worker(loop);\n"}
         with FixtureTree(files) as root:
             self.assertEqual(lint(root, "raw-threads"), [])
+
+    def test_ddp_fork_join_site_is_flagged(self):
+        # DDP workers are pool tasks; the fork/join site has no exemption.
+        files = {"src/distributed/ddp.cpp": "std::thread w(run_shard);\n"}
+        with FixtureTree(files) as root:
+            found = lint(root, "raw-threads")
+        self.assertEqual(len(found), 1)
+        self.assertIn("ddp.cpp", found[0])
 
     def test_this_thread_and_comments_are_clean(self):
         files = {"src/serve/bar.cpp":

@@ -8,8 +8,8 @@
 //    a hot loop over small rows never pays a pool round-trip.
 //  * submit()/TaskGroup::wait() retires every task and rethrows the first
 //    task exception; the pool stays usable afterwards.
-//  * Pool-vs-legacy DDP training is bit-identical (SPTX_RUNTIME=legacy is
-//    a real escape hatch, not a similar-but-different code path).
+//  * DDP training is bit-identical at pool widths 1 and 4: logical workers
+//    keep their shard assignment whichever lane runs them.
 //  * Stats gauges: queue depth drains to zero at idle, steal_ratio stays
 //    in [0, 1], stats_json carries the health-surface keys.
 //  * A TSan hammer: external threads submit and drive regions against a
@@ -24,7 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/runtime_config.hpp"
 #include "src/distributed/ddp.hpp"
 #include "src/kg/synthetic.hpp"
 #include "src/profiling/counters.hpp"
@@ -78,7 +77,6 @@ TEST_F(RuntimeTest, ParallelForVisitsEveryIndexExactlyOnce) {
 }
 
 TEST_F(RuntimeTest, TinyTripCountsRunInlineWithZeroPoolRoundTrips) {
-  config::ScopedOverride pool("SPTX_RUNTIME", "pool");
   profiling::CounterWindow submitted(
       profiling::Counter::kRuntimeTasksSubmitted);
   profiling::CounterWindow inlined(profiling::Counter::kRuntimeInlineLoops);
@@ -212,7 +210,7 @@ TEST_F(RuntimeTest, StatsGaugesDrainAtIdleAndJsonCarriesHealthKeys) {
   EXPECT_GE(serve.executed, 64);
 
   const std::string json = pool.stats_json();
-  for (const char* key : {"\"mode\"", "\"threads\"", "\"queue_depth\"",
+  for (const char* key : {"\"threads\"", "\"queue_depth\"",
                           "\"steal_ratio\"", "\"parked_workers\"",
                           "\"classes\"", "\"serve\"", "\"kernel\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
@@ -230,7 +228,7 @@ TEST_F(RuntimeTest, RecordExternalAccountsWithoutQueueRoundTrip) {
   EXPECT_EQ(after.queue_depth, 0);
 }
 
-// ---- pool vs legacy bit-identity -------------------------------------------
+// ---- DDP bit-identity across pool widths ----------------------------------
 
 models::ModelConfig cfg8() {
   models::ModelConfig cfg;
@@ -254,22 +252,19 @@ std::vector<float> train_ddp_probe(const kg::Dataset& ds) {
   return result.model->score(ds.train.slice(0, 16));
 }
 
-TEST_F(RuntimeTest, DdpOnSharedPoolBitIdenticalToLegacyThreads) {
+TEST_F(RuntimeTest, DdpBitIdenticalAcrossPoolWidths) {
   Rng rng(71);
   const auto ds = kg::generate({"runtime_ddp", 80, 6, 400}, rng, 0.0, 0.0);
 
-  std::vector<float> pool_scores, legacy_scores;
-  {
-    config::ScopedOverride mode("SPTX_RUNTIME", "pool");
-    pool_scores = train_ddp_probe(ds);
-  }
-  {
-    config::ScopedOverride mode("SPTX_RUNTIME", "legacy");
-    legacy_scores = train_ddp_probe(ds);
-  }
-  ASSERT_EQ(pool_scores.size(), legacy_scores.size());
-  for (std::size_t i = 0; i < pool_scores.size(); ++i) {
-    EXPECT_EQ(pool_scores[i], legacy_scores[i]) << "i=" << i;  // bitwise
+  // Width 1: the driving thread runs every logical worker inline; width 4:
+  // the three workers spread over pool lanes.
+  TaskPool::instance().resize(1);
+  const std::vector<float> serial_scores = train_ddp_probe(ds);
+  TaskPool::instance().resize(4);
+  const std::vector<float> pooled_scores = train_ddp_probe(ds);
+  ASSERT_EQ(serial_scores.size(), pooled_scores.size());
+  for (std::size_t i = 0; i < serial_scores.size(); ++i) {
+    EXPECT_EQ(serial_scores[i], pooled_scores[i]) << "i=" << i;  // bitwise
   }
 }
 

@@ -44,7 +44,7 @@ TEST(RuntimeConfigSpecs, TableIsSane) {
     }
   }
   EXPECT_TRUE(names.count("SPTX_SPMM_KERNEL"));
-  EXPECT_TRUE(names.count("SPTX_PLAN_CACHE"));
+  EXPECT_TRUE(names.count("SPTX_PREFETCH"));
   EXPECT_TRUE(names.count("SPTX_DDP_WORKERS"));
   EXPECT_TRUE(names.count("SPTX_SERVE_MICROBATCH"));
 }
@@ -61,9 +61,9 @@ TEST(RuntimeConfigFlags, ParsingIsCaseInsensitive) {
 
 TEST(RuntimeConfig, TriStateKnobsKeepTheCallersFallback) {
   const RuntimeConfig rc;  // defaults only
-  EXPECT_FALSE(rc.is_set("SPTX_PLAN_CACHE"));
-  EXPECT_TRUE(rc.flag_or("SPTX_PLAN_CACHE", true));
-  EXPECT_FALSE(rc.flag_or("SPTX_PLAN_CACHE", false));
+  EXPECT_FALSE(rc.is_set("SPTX_PREFETCH"));
+  EXPECT_TRUE(rc.flag_or("SPTX_PREFETCH", true));
+  EXPECT_FALSE(rc.flag_or("SPTX_PREFETCH", false));
   EXPECT_EQ(rc.int_or("SPTX_DDP_WORKERS", 7), 7);
   // Knobs with real defaults resolve to them.
   EXPECT_FALSE(rc.flag_or("SPTX_NO_SIMD", true));
@@ -73,14 +73,14 @@ TEST(RuntimeConfig, TriStateKnobsKeepTheCallersFallback) {
 
 TEST(RuntimeConfig, FromEnvSnapshotsCurrentEnvironment) {
   ::setenv("SPTX_DDP_WORKERS", "8", 1);
-  ::setenv("SPTX_PLAN_CACHE", "OFF", 1);  // case-insensitive flag
+  ::setenv("SPTX_PREFETCH", "OFF", 1);  // case-insensitive flag
   const RuntimeConfig rc = RuntimeConfig::from_env();
   ::unsetenv("SPTX_DDP_WORKERS");
-  ::unsetenv("SPTX_PLAN_CACHE");
+  ::unsetenv("SPTX_PREFETCH");
   // The snapshot holds what the environment said at from_env() time...
   EXPECT_EQ(rc.int_or("SPTX_DDP_WORKERS", 1), 8);
   EXPECT_EQ(rc.origin("SPTX_DDP_WORKERS"), ConfigOrigin::kEnvironment);
-  EXPECT_FALSE(rc.flag_or("SPTX_PLAN_CACHE", true));
+  EXPECT_FALSE(rc.flag_or("SPTX_PREFETCH", true));
   // ...and a later snapshot no longer sees the unset variables.
   const RuntimeConfig later = RuntimeConfig::from_env();
   EXPECT_FALSE(later.is_set("SPTX_DDP_WORKERS"));

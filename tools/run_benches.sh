@@ -27,8 +27,8 @@
 #                        (off) per-epoch training time for TransE / TransR /
 #                        TorusE on the Fig-2 workload
 #   BENCH_runtime.json   bench_runtime: TaskPool thread scaling (SpMM /
-#                        fused epoch / serve QPS at 1-8 lanes) + composed
-#                        train+serve, pool vs legacy threading
+#                        fused epoch / serve QPS at 1-8 lanes) + serve QPS
+#                        sustained during composed train+serve on one pool
 #
 # Knobs: SPTX_BENCH_MIN_TIME (per-benchmark min time, default 0.2s),
 # SPTX_EPOCHS / SPTX_SCALE forwarded to the hotspot bench as usual.

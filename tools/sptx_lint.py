@@ -23,11 +23,10 @@ compiler enforces:
                   random stream is a seeded sptx::Rng, so any run is
                   replayable from its logged seeds.
   raw-threads     std::thread appears only inside src/runtime/ (the
-                  TaskPool's workers plus the legacy-mode runtime::Thread
-                  wrapper) and src/distributed/ddp.cpp's documented
-                  fork/join site — every other site schedules through
-                  runtime::TaskPool so the process keeps one view of
-                  available parallelism.
+                  TaskPool's workers plus the runtime::Thread wrapper the
+                  procs-DDP worker heartbeat spawns through) — every other
+                  site schedules through runtime::TaskPool so the process
+                  keeps one view of available parallelism.
   process-control fork/exec/kill/waitpid appear only inside
                   src/distributed/ — child-process lifecycle is the DDP
                   supervisor's exclusive job, so no other subsystem can
@@ -299,18 +298,15 @@ class Linter:
     def check_raw_threads(self):
         """std::thread construction is a runtime-internal privilege.
 
-        Allowed: src/runtime/ (the pool's workers and the legacy-mode
-        runtime::Thread wrapper) and src/distributed/ddp.cpp, whose
-        fork/join worker handshake documents its synchronization contract
-        in place and stays as the SPTX_RUNTIME=legacy escape hatch.
+        Allowed: src/runtime/ (the pool's workers and the runtime::Thread
+        wrapper the procs-DDP worker heartbeat spawns through).
         std::this_thread (sleep/yield) is fine anywhere.
         """
         allowed_dir = os.path.join("src", "runtime") + os.sep
-        allowed_files = {os.path.join("src", "distributed", "ddp.cpp")}
         pattern = re.compile(r"\bstd\s*::\s*thread\b")
         for path in iter_source_files(self.root):
             rel = os.path.relpath(path, self.root)
-            if rel.startswith(allowed_dir) or rel in allowed_files:
+            if rel.startswith(allowed_dir):
                 continue
             for lineno, line in enumerate(
                     strip_comments(read(path)).splitlines(), 1):
@@ -318,9 +314,9 @@ class Linter:
                     self.report(
                         path, lineno, "raw-threads",
                         "raw std::thread outside src/runtime/ — submit to "
-                        "runtime::TaskPool (or spawn a runtime::Thread on a "
-                        "legacy-mode path) so the process keeps one view of "
-                        "available parallelism")
+                        "runtime::TaskPool (or spawn a runtime::Thread for "
+                        "a dedicated long-lived thread) so the process keeps "
+                        "one view of available parallelism")
 
     # -- rule: process-control ------------------------------------------------
 
