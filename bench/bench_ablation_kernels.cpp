@@ -1,8 +1,9 @@
-// Ablation: SpMM kernel variants (naive / unrolled / tiled / OpenMP-parallel
-// / AVX2-SIMD / combined / auto-dispatched) and storage formats (CSR vs COO)
-// — design choices §2 and §5.5 call out. google-benchmark microbenchmarks
-// over incidence-shaped matrices. tools/run_benches.sh captures this bench
-// as BENCH_spmm.json to track the perf trajectory across PRs.
+// Ablation: SpMM kernels (the naive reference loop / register-blocked SIMD /
+// parallel row blocks × column panels / auto-dispatched), storage formats
+// (CSR vs COO) and the two backward paths — design choices §2 and §5.5 call
+// out. google-benchmark microbenchmarks over incidence-shaped matrices.
+// tools/run_benches.sh captures this bench as BENCH_spmm.json to track the
+// perf trajectory across PRs.
 #include <benchmark/benchmark.h>
 
 #include "bench/gbench_main.hpp"
@@ -46,36 +47,6 @@ void BM_SpmmCsrNaive(benchmark::State& state) {
   Matrix out(w.csr.rows, w.x.cols());
   for (auto _ : state) {
     spmm_csr_into(w.csr, w.x, out, SpmmKernel::kNaive);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * w.csr.nnz() * w.x.cols());
-}
-
-void BM_SpmmCsrUnrolled(benchmark::State& state) {
-  const auto w = make_workload(state.range(0), 20000, 50, state.range(1));
-  Matrix out(w.csr.rows, w.x.cols());
-  for (auto _ : state) {
-    spmm_csr_into(w.csr, w.x, out, SpmmKernel::kUnrolled);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * w.csr.nnz() * w.x.cols());
-}
-
-void BM_SpmmCsrTiled(benchmark::State& state) {
-  const auto w = make_workload(state.range(0), 20000, 50, state.range(1));
-  Matrix out(w.csr.rows, w.x.cols());
-  for (auto _ : state) {
-    spmm_csr_into(w.csr, w.x, out, SpmmKernel::kTiled);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * w.csr.nnz() * w.x.cols());
-}
-
-void BM_SpmmCsrParallel(benchmark::State& state) {
-  const auto w = make_workload(state.range(0), 20000, 50, state.range(1));
-  Matrix out(w.csr.rows, w.x.cols());
-  for (auto _ : state) {
-    spmm_csr_into(w.csr, w.x, out, SpmmKernel::kParallel);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * w.csr.nnz() * w.x.cols());
@@ -137,7 +108,8 @@ void BM_SpmmBackwardScatter(benchmark::State& state) {
 
 // The cached-transpose gather path: Aᵀ is built once (outside the timed
 // loop, as in training where the same incidence matrix serves fwd+bwd) and
-// the backward runs as a conflict-free parallel accumulate over dX rows.
+// the backward runs as a conflict-free parallel accumulate over dX rows,
+// tasks cut by Aᵀ's nonzeros.
 void BM_SpmmBackwardTransposedCached(benchmark::State& state) {
   const auto w = make_workload(state.range(0), 20000, 50, state.range(1));
   Matrix g(w.csr.rows, w.x.cols());
@@ -166,9 +138,6 @@ void BM_SpmmBackwardExplicitTranspose(benchmark::State& state) {
 #define SPTX_ARGS ->Args({8192, 64})->Args({8192, 256})->Args({32768, 128})
 
 BENCHMARK(BM_SpmmCsrNaive) SPTX_ARGS;
-BENCHMARK(BM_SpmmCsrUnrolled) SPTX_ARGS;
-BENCHMARK(BM_SpmmCsrTiled) SPTX_ARGS;
-BENCHMARK(BM_SpmmCsrParallel) SPTX_ARGS;
 BENCHMARK(BM_SpmmCsrSimd) SPTX_ARGS;
 BENCHMARK(BM_SpmmCsrTiledParallel) SPTX_ARGS;
 BENCHMARK(BM_SpmmCsrAuto) SPTX_ARGS;

@@ -4,6 +4,7 @@
 
 #include "src/profiling/flops.hpp"
 #include "src/profiling/timer.hpp"
+#include "src/runtime/parallel.hpp"
 
 namespace sptx::autograd {
 
@@ -134,6 +135,10 @@ Variable gather(const Variable& x,
 }
 
 // ----------------------------------------------------------------- norms
+//
+// The norm backward rules write dx row by row, each row from its own g and
+// x rows only, so they run row chunks on the pool (runtime::parallel_rows)
+// with each row's loop unchanged: bit-equal at any pool width.
 
 Variable row_l2(const Variable& x) {
   profiling::ScopedHotspot hotspot("sptx::row_l2");
@@ -148,13 +153,13 @@ Variable row_l2(const Variable& x) {
         const Matrix& xv = parent_value(n, 0);
         const Matrix& g = n.grad();
         profiling::count_flops(2 * xv.size());
-        for (index_t i = 0; i < xv.rows(); ++i) {
+        runtime::parallel_rows(xv.rows(), xv.cols(), [&](index_t i) {
           const float denom = std::max(norms->at(i, 0), kNormEps);
           const float s = g.at(i, 0) / denom;
           const float* xrow = xv.row(i);
           float* drow = dx.row(i);
           for (index_t j = 0; j < xv.cols(); ++j) drow[j] += s * xrow[j];
-        }
+        });
       },
       "sptx::row_l2_backward (LinalgVectorNormBackward)");
 }
@@ -170,7 +175,7 @@ Variable row_l1(const Variable& x) {
         const Matrix& xv = parent_value(n, 0);
         const Matrix& g = n.grad();
         profiling::count_flops(xv.size());
-        for (index_t i = 0; i < xv.rows(); ++i) {
+        runtime::parallel_rows(xv.rows(), xv.cols(), [&](index_t i) {
           const float gi = g.at(i, 0);
           const float* xrow = xv.row(i);
           float* drow = dx.row(i);
@@ -179,7 +184,7 @@ Variable row_l1(const Variable& x) {
                              : xrow[j] < 0.0f ? -1.0f
                                               : 0.0f);
           }
-        }
+        });
       },
       "sptx::row_l1_backward");
 }
@@ -195,12 +200,12 @@ Variable row_squared_l2(const Variable& x) {
         const Matrix& xv = parent_value(n, 0);
         const Matrix& g = n.grad();
         profiling::count_flops(2 * xv.size());
-        for (index_t i = 0; i < xv.rows(); ++i) {
+        runtime::parallel_rows(xv.rows(), xv.cols(), [&](index_t i) {
           const float s = 2.0f * g.at(i, 0);
           const float* xrow = xv.row(i);
           float* drow = dx.row(i);
           for (index_t j = 0; j < xv.cols(); ++j) drow[j] += s * xrow[j];
-        }
+        });
       },
       "sptx::row_squared_l2_backward");
 }

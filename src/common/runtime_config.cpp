@@ -19,8 +19,11 @@ constexpr ConfigSpec kSpecs[] = {
      "Force the scalar SpMM kernels even when cpuid reports AVX2+FMA "
      "(kernel-equivalence testing, perf triage)."},
     {"SPTX_SPMM_KERNEL", ConfigType::kEnum, "auto",
-     "Force a forward SpMM kernel instead of the per-call auto heuristic.",
-     "auto|naive|unrolled|tiled|parallel|simd|tiled_parallel"},
+     "Force a forward SpMM kernel instead of the per-call auto heuristic: "
+     "naive (the reference loop), simd (serial register-blocked rows) or "
+     "tiled_parallel (pool row blocks); the latter two run a scalar mirror "
+     "without AVX2+FMA.",
+     "auto|naive|simd|tiled_parallel"},
     {"SPTX_SPMM_BACKWARD", ConfigType::kEnum, "auto",
      "Force the backward SpMM strategy: sequential scatter vs "
      "cached-transpose parallel gather.",

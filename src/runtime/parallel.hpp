@@ -13,6 +13,7 @@
 //    it stays that way.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/profiling/counters.hpp"
@@ -44,6 +45,27 @@ void parallel_for(std::int64_t begin, std::int64_t end, const Body& body,
       },
       const_cast<void*>(static_cast<const void*>(&body)),
       TaskClass::kKernel);
+}
+
+/// Floats per task in parallel_rows: 128 KB of one operand amortises the
+/// pool's dispatch cost. An operand no bigger than one task runs inline.
+constexpr std::int64_t kRowTaskFloats = std::int64_t{1} << 15;
+
+/// Row-parallel loop over an rows×cols operand: `body(i)` runs exactly once
+/// per row, rows grouped into tasks of about kRowTaskFloats floats. For
+/// per-row kernels with independent rows, where the split changes no
+/// arithmetic.
+template <typename Body>
+void parallel_rows(std::int64_t rows, std::int64_t cols, const Body& body) {
+  const std::int64_t per_task = std::max<std::int64_t>(
+      1, kRowTaskFloats / std::max<std::int64_t>(cols, 1));
+  parallel_for(
+      0, (rows + per_task - 1) / per_task,
+      [&](std::int64_t chunk) {
+        const std::int64_t end = std::min(rows, (chunk + 1) * per_task);
+        for (std::int64_t i = chunk * per_task; i < end; ++i) body(i);
+      },
+      /*grain=*/1);
 }
 
 }  // namespace sptx::runtime

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "src/common/cpu_features.hpp"
 #include "src/runtime/parallel.hpp"
@@ -47,9 +48,9 @@ void kernel_naive(const Csr& a, const Matrix& x, Matrix& c) {
   }
 }
 
-// Unrolled-by-4 inner loop over the embedding dimension. With ±1 values the
-// multiply folds into add/sub, but we keep the FMA form so the kernel works
-// for general sparse matrices too.
+// Unrolled-by-4 axpy over the embedding dimension (the scalar kernels' inner
+// loop). With ±1 values the multiply folds into add/sub, but we keep the FMA
+// form so the kernels work for general sparse matrices too.
 inline void axpy_unrolled(float v, const float* __restrict xrow,
                           float* __restrict crow, index_t d) {
   index_t j = 0;
@@ -63,54 +64,6 @@ inline void axpy_unrolled(float v, const float* __restrict xrow,
   for (; j < d; ++j) crow[j] += v * xrow[j];
 }
 
-void kernel_row_unrolled(const Csr& a, const Matrix& x, Matrix& c,
-                         index_t i) {
-  const index_t d = x.cols();
-  float* crow = c.row(i);
-  for (index_t j = 0; j < d; ++j) crow[j] = 0.0f;
-  for (index_t k = a.row_ptr[static_cast<std::size_t>(i)];
-       k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-    axpy_unrolled(a.values[static_cast<std::size_t>(k)],
-                  x.row(a.col_idx[static_cast<std::size_t>(k)]), crow, d);
-  }
-}
-
-void kernel_unrolled(const Csr& a, const Matrix& x, Matrix& c) {
-  for (index_t i = 0; i < a.rows; ++i) kernel_row_unrolled(a, x, c, i);
-}
-
-// Cache-blocked kernel: the embedding dimension is processed in column
-// panels sized to keep one panel of every touched X row in L1/L2, and
-// output rows in blocks so the CSR metadata of a block is reused across
-// panels. Pays off when d is large enough that full rows thrash the cache.
-void kernel_tiled(const Csr& a, const Matrix& x, Matrix& c) {
-  constexpr index_t kPanel = 64;    // floats per column panel (256 B)
-  constexpr index_t kRowBlock = 256;  // output rows per block
-  const index_t d = x.cols();
-  for (index_t i0 = 0; i0 < a.rows; i0 += kRowBlock) {
-    const index_t i1 = std::min<index_t>(i0 + kRowBlock, a.rows);
-    for (index_t j0 = 0; j0 < d; j0 += kPanel) {
-      const index_t j1 = std::min<index_t>(j0 + kPanel, d);
-      for (index_t i = i0; i < i1; ++i) {
-        float* crow = c.row(i);
-        for (index_t j = j0; j < j1; ++j) crow[j] = 0.0f;
-        for (index_t k = a.row_ptr[static_cast<std::size_t>(i)];
-             k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-          const float v = a.values[static_cast<std::size_t>(k)];
-          const float* xrow =
-              x.row(a.col_idx[static_cast<std::size_t>(k)]);
-          for (index_t j = j0; j < j1; ++j) crow[j] += v * xrow[j];
-        }
-      }
-    }
-  }
-}
-
-void kernel_parallel(const Csr& a, const Matrix& x, Matrix& c) {
-  runtime::parallel_for(0, a.rows,
-               [&](index_t i) { kernel_row_unrolled(a, x, c, i); });
-}
-
 // ---- SIMD engine ---------------------------------------------------------
 //
 // The register-blocked formulation: for each output row, column panels of
@@ -120,25 +73,25 @@ void kernel_parallel(const Csr& a, const Matrix& x, Matrix& c) {
 // one C-row round-trip per nonzero. With ±1 coefficients the FMA becomes a
 // pure add/sub and the values array is only consulted for its sign.
 
-// Scalar mirror of the AVX2 kernel (same loop structure, compiler-vectorized
-// where possible). Also serves as the accumulate-mode scalar path for the
-// backward gather.
+// Scalar mirror of the AVX2 kernel over the same row-range × column-panel
+// tile (compiler-vectorized where possible). Also serves as the
+// accumulate-mode scalar path for the backward gather.
 void rows_panel_scalar(const Csr& a, const Matrix& x, Matrix& c, index_t i0,
-                       index_t i1, bool accumulate) {
-  const index_t d = x.cols();
+                       index_t i1, index_t j0, index_t j1, bool accumulate) {
+  const index_t width = j1 - j0;
   const index_t stride = x.cols();
-  const float* xbase = x.data();
+  const float* xbase = x.data() + j0;
   const index_t* cols = a.col_idx.data();
   const float* vals = a.values.data();
   for (index_t i = i0; i < i1; ++i) {
     const index_t k0 = a.row_ptr[static_cast<std::size_t>(i)];
     const index_t k1 = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    float* crow = c.row(i);
+    float* crow = c.row(i) + j0;
     if (!accumulate) {
-      std::memset(crow, 0, static_cast<std::size_t>(d) * sizeof(float));
+      std::memset(crow, 0, static_cast<std::size_t>(width) * sizeof(float));
     }
     for (index_t k = k0; k < k1; ++k) {
-      axpy_unrolled(vals[k], xbase + cols[k] * stride, crow, d);
+      axpy_unrolled(vals[k], xbase + cols[k] * stride, crow, width);
     }
   }
 }
@@ -402,24 +355,23 @@ __attribute__((target("avx2,fma"))) void coo_scatter_avx2(const Coo& a,
 
 #endif  // SPTX_SPMM_X86
 
-// Dispatch for a row range: AVX2 when the cpu allows it, scalar mirror
-// otherwise. Whole-d panel (the register-blocked loop already streams X and
-// C optimally; column tiling is a separate kernel).
+// Dispatch for a row range × column panel: AVX2 when the cpu allows it,
+// scalar mirror otherwise.
 void rows_simd(const Csr& a, const Matrix& x, Matrix& c, index_t i0,
-               index_t i1, bool accumulate) {
+               index_t i1, index_t j0, index_t j1, bool accumulate) {
 #ifdef SPTX_SPMM_X86
   if (simd_enabled()) {
-    rows_panel_avx2(a, x, c, i0, i1, 0, x.cols(), a.unit_values(), accumulate,
+    rows_panel_avx2(a, x, c, i0, i1, j0, j1, a.unit_values(), accumulate,
                     /*prefetch=*/x.bytes() >= kPrefetchMinBytes,
                     /*stream=*/c.bytes() >= kStreamMinBytes);
     return;
   }
 #endif
-  rows_panel_scalar(a, x, c, i0, i1, accumulate);
+  rows_panel_scalar(a, x, c, i0, i1, j0, j1, accumulate);
 }
 
 void kernel_simd(const Csr& a, const Matrix& x, Matrix& c) {
-  rows_simd(a, x, c, 0, a.rows, /*accumulate=*/false);
+  rows_simd(a, x, c, 0, a.rows, 0, x.cols(), /*accumulate=*/false);
 }
 
 // Combined kernel: dynamic parallel over row blocks, column panels inside a
@@ -435,22 +387,72 @@ void kernel_tiled_parallel(const Csr& a, const Matrix& x, Matrix& c) {
       [&](index_t b) {
         const index_t i0 = b * kRowBlock;
         const index_t i1 = std::min<index_t>(i0 + kRowBlock, a.rows);
-#ifdef SPTX_SPMM_X86
-        if (simd_enabled()) {
-          const bool unit = a.unit_values();
-          const bool prefetch = x.bytes() >= kPrefetchMinBytes;
-          const bool stream = c.bytes() >= kStreamMinBytes;
-          for (index_t j0 = 0; j0 < d; j0 += kPanel) {
-            const index_t j1 = std::min<index_t>(j0 + kPanel, d);
-            rows_panel_avx2(a, x, c, i0, i1, j0, j1, unit,
-                            /*accumulate=*/false, prefetch, stream);
-          }
-          return;
+        for (index_t j0 = 0; j0 < d; j0 += kPanel) {
+          rows_simd(a, x, c, i0, i1, j0, std::min<index_t>(j0 + kPanel, d),
+                    /*accumulate=*/false);
         }
-#endif
-        rows_panel_scalar(a, x, c, i0, i1, /*accumulate=*/false);
       },
       /*grain=*/1);
+}
+
+// ---- Transposed backward: nnz-balanced tasks ------------------------------
+//
+// The gather backward runs the accumulate-mode kernel over rows of Aᵀ, one
+// row per dX row. Those rows are far from uniform: in an hrt incidence the
+// relation columns collect a whole batch's worth of nonzeros in a few rows
+// (the last rows of Aᵀ), so fixed row blocks leave one lane with a third of
+// the work. Tasks are cut by cumulative nonzeros instead, and a row heavier
+// than one task is split into column panels. Every dX element still sees
+// the same operations in the same order — a panel boundary only changes
+// which task runs a column, and panels start on 16-float boundaries so the
+// kernel's 16/8/scalar loop split per column is unchanged.
+
+/// One backward task: rows [i0, i1) of Aᵀ, dX columns [j0, j1).
+struct PanelTask {
+  index_t i0, i1, j0, j1;
+};
+
+/// Tasks per pool lane: enough slack for work stealing to even out the
+/// tasks' unequal gather costs.
+constexpr index_t kBackwardTasksPerLane = 8;
+/// Fewest nonzeros worth a task of their own (dispatch cost floor).
+constexpr index_t kBackwardMinTaskNnz = 1024;
+/// Column-panel alignment in floats: one 64-byte line, and a multiple of
+/// the kernel's 16-wide main loop.
+constexpr index_t kPanelAlign = 16;
+
+std::vector<PanelTask> balance_by_nnz(const Csr& at, index_t d, int lanes) {
+  const index_t slots = kBackwardTasksPerLane * std::max(lanes, 1);
+  const index_t target =
+      std::max(kBackwardMinTaskNnz, (at.nnz() + slots - 1) / slots);
+  const std::vector<index_t>& rp = at.row_ptr;
+  std::vector<PanelTask> tasks;
+  index_t i = 0;
+  while (i < at.rows) {
+    // Furthest row end whose span from row i holds at most `target`.
+    const auto end = std::upper_bound(rp.begin() + i + 1, rp.end(),
+                                      rp[static_cast<std::size_t>(i)] + target);
+    const index_t i1 = static_cast<index_t>(end - rp.begin()) - 1;
+    if (i1 > i) {
+      tasks.push_back({i, i1, 0, d});
+      i = i1;
+      continue;
+    }
+    // Row i alone outweighs a task: split its columns.
+    const index_t row_nnz = rp[static_cast<std::size_t>(i) + 1] -
+                            rp[static_cast<std::size_t>(i)];
+    const index_t panels =
+        std::min((d + kPanelAlign - 1) / kPanelAlign,
+                 (row_nnz + target - 1) / target);
+    const index_t width =
+        ((d + panels - 1) / panels + kPanelAlign - 1) / kPanelAlign *
+        kPanelAlign;
+    for (index_t j0 = 0; j0 < d; j0 += width) {
+      tasks.push_back({i, i + 1, j0, std::min(j0 + width, d)});
+    }
+    ++i;
+  }
+  return tasks;
 }
 
 // ---- kAuto ---------------------------------------------------------------
@@ -461,9 +463,6 @@ constexpr std::int64_t kParallelMinWork = 1 << 18;
 
 SpmmKernel parse_kernel_name(const std::string& s) {
   if (s == "naive") return SpmmKernel::kNaive;
-  if (s == "unrolled") return SpmmKernel::kUnrolled;
-  if (s == "tiled") return SpmmKernel::kTiled;
-  if (s == "parallel") return SpmmKernel::kParallel;
   if (s == "simd") return SpmmKernel::kSimd;
   if (s == "tiled_parallel") return SpmmKernel::kTiledParallel;
   return SpmmKernel::kAuto;  // unknown names fall through to the heuristic
@@ -480,10 +479,7 @@ SpmmKernel spmm_auto_kernel(const Csr& a, index_t dim) {
   const std::int64_t work = a.nnz() * dim;
   const bool parallel_pays =
       runtime::num_threads() > 1 && work >= kParallelMinWork;
-  if (!simd_enabled()) {
-    if (parallel_pays) return SpmmKernel::kParallel;
-    return dim >= 512 ? SpmmKernel::kTiled : SpmmKernel::kUnrolled;
-  }
+  // Both kernels run their scalar mirror without AVX2+FMA.
   return parallel_pays ? SpmmKernel::kTiledParallel : SpmmKernel::kSimd;
 }
 
@@ -501,15 +497,6 @@ void spmm_csr_into(const Csr& a, const Matrix& x, Matrix& c,
     case SpmmKernel::kNaive:
       kernel_naive(a, x, c);
       break;
-    case SpmmKernel::kUnrolled:
-      kernel_unrolled(a, x, c);
-      break;
-    case SpmmKernel::kTiled:
-      kernel_tiled(a, x, c);
-      break;
-    case SpmmKernel::kParallel:
-      kernel_parallel(a, x, c);
-      break;
     case SpmmKernel::kSimd:
       kernel_simd(a, x, c);
       break;
@@ -523,7 +510,8 @@ void spmm_csr_into(const Csr& a, const Matrix& x, Matrix& c,
 }
 
 Matrix spmm_csr(const Csr& a, const Matrix& x, SpmmKernel kernel) {
-  Matrix c(a.rows, x.cols());
+  // Every kernel writes every output element, so the zero-fill is skipped.
+  Matrix c = Matrix::uninitialized(a.rows, x.cols());
   spmm_csr_into(a, x, c, kernel);
   return c;
 }
@@ -590,17 +578,17 @@ void spmm_csr_transposed_accumulate(const Csr& a, const Matrix& g,
 
   if (spmm_backward_uses_transpose(a, d)) {
     // dX += Aᵀ·g as a forward SpMM over the cached transpose, run in
-    // accumulate mode: every dX row is written by exactly one task, so the
-    // row loop parallelizes with no atomics and no per-thread buffers.
+    // accumulate mode: every dX element is written by exactly one task, so
+    // the gather parallelizes with no atomics and no per-thread buffers.
     const Csr& at = a.transposed();
-    constexpr index_t kRowBlock = 256;
-    const index_t blocks = (at.rows + kRowBlock - 1) / kRowBlock;
+    const std::vector<PanelTask> tasks =
+        balance_by_nnz(at, d, runtime::num_threads());
     runtime::parallel_for(
-        0, blocks,
-        [&](index_t b) {
-          const index_t i0 = b * kRowBlock;
-          const index_t i1 = std::min<index_t>(i0 + kRowBlock, at.rows);
-          rows_simd(at, g, dx, i0, i1, /*accumulate=*/true);
+        0, static_cast<index_t>(tasks.size()),
+        [&](index_t t) {
+          const PanelTask& task = tasks[static_cast<std::size_t>(t)];
+          rows_simd(at, g, dx, task.i0, task.i1, task.j0, task.j1,
+                    /*accumulate=*/true);
         },
         /*grain=*/1);
     return;

@@ -5,17 +5,20 @@
 //                             gradient of SpMM w.r.t. the dense operand is
 //                             another SpMM with the transposed sparse matrix.)
 //
-// Kernel zoo (the ablation bench compares them):
-//   kNaive          plain row loop, the reference implementation
-//   kUnrolled       inner dim unrolled by 4 (§2's loop unrolling)
-//   kTiled          cache-blocked column panels × row blocks (§2's tiling)
-//   kParallel       pool parallel_for over rows, unrolled scalar inner loop
+// Kernels (bench_ablation_kernels compares them):
+//   kNaive          plain row loop, the reference implementation (the oracle
+//                   of the differential tests)
 //   kSimd           AVX2/FMA register-blocked rows; ±1 coefficients take a
 //                   multiply-free add/sub path (incidence matrices only ever
-//                   hold ±1). Falls back to kUnrolled without AVX2+FMA.
-//   kTiledParallel  row-block parallel × column panels with the SIMD inner
-//                   kernel — the combined §2 optimisations in one kernel
+//                   hold ±1). Without AVX2+FMA it runs a scalar mirror with
+//                   the same loop structure.
+//   kTiledParallel  row-block parallel × column panels with the kSimd inner
+//                   kernel (or its scalar mirror) — §2's tiling, unrolling
+//                   and threading in one kernel
 //   kAuto           runtime choice, see spmm_auto_kernel below
+//
+// Every kernel writes every output element, so spmm_csr allocates its
+// result uninitialised (Matrix::uninitialized).
 //
 // All SIMD paths are selected at runtime from cpuid (cpu_features.hpp), so
 // portable builds still vectorize on capable hardware; SPTX_NO_SIMD=1
@@ -30,9 +33,6 @@ namespace sptx {
 
 enum class SpmmKernel {
   kNaive,          // plain row loop
-  kUnrolled,       // inner dim unrolled by 4
-  kTiled,          // cache-blocked: column panels × row blocks (§2's tiling)
-  kParallel,       // pool parallel_for over rows, unrolled inner loop
   kSimd,           // AVX2/FMA register-blocked, ±1-specialised, serial
   kTiledParallel,  // parallel row blocks × column panels, SIMD inner loop
   kAuto,           // pick from (nnz, rows, dim, threads) at call time
@@ -40,14 +40,12 @@ enum class SpmmKernel {
 
 /// The kAuto dispatch heuristic, exposed so tests/benches can interrogate
 /// the choice. Decision order:
-///   1. SPTX_SPMM_KERNEL=naive|unrolled|tiled|parallel|simd|tiled_parallel
-///      overrides everything (operator escape hatch).
-///   2. Without AVX2+FMA (or with SPTX_NO_SIMD): kParallel when the work
-///      nnz·d clears the parallel threshold (2^18) on a multi-core host;
-///      otherwise kTiled for wide rows (d ≥ 512, where panels keep the
-///      active set in L1/L2) and kUnrolled for everything smaller.
-///   3. With SIMD: kSimd when single-threaded or below the parallel
-///      threshold (thread start-up would dominate); kTiledParallel above it.
+///   1. SPTX_SPMM_KERNEL=naive|simd|tiled_parallel overrides everything
+///      (operator escape hatch).
+///   2. kSimd when single-threaded or below the parallel threshold
+///      (nnz·d < 2^18, where thread start-up would dominate); kTiledParallel
+///      above it. Without AVX2+FMA (or with SPTX_NO_SIMD) both run their
+///      scalar mirror.
 SpmmKernel spmm_auto_kernel(const Csr& a, index_t dim);
 
 /// C = A · X with A in CSR. X must have A.cols rows. Returns (A.rows × d).
@@ -79,7 +77,11 @@ bool spmm_backward_uses_transpose(const Csr& a, index_t dim);
 ///   * large batches reuse A.transposed() — cached on the matrix, built
 ///     once — and run the forward SIMD kernel in accumulate mode, which
 ///     turns the serial scatter into a conflict-free parallel gather
-///     (each dX row is owned by exactly one task).
+///     (each dX element is owned by exactly one task). Tasks are cut by
+///     cumulative nonzeros of Aᵀ, and a row heavier than one task (an hrt
+///     incidence's relation columns) is split into column panels, so the
+///     pool's lanes stay busy. Both paths add each dX element's terms in
+///     the same order, so they agree bit for bit on ±1 matrices.
 /// SPTX_SPMM_BACKWARD=scatter|transpose overrides the size heuristic.
 void spmm_csr_transposed_accumulate(const Csr& a, const Matrix& g, Matrix& dx);
 

@@ -7,6 +7,7 @@
 
 #include "src/common/simd.hpp"
 #include "src/profiling/flops.hpp"
+#include "src/runtime/parallel.hpp"
 #include "src/tensor/memory_tracker.hpp"
 #include "src/tensor/workspace.hpp"
 
@@ -60,6 +61,12 @@ void Matrix::release() {
 Matrix::Matrix(index_t rows, index_t cols) {
   allocate(rows, cols);
   zero();
+}
+
+Matrix Matrix::uninitialized(index_t rows, index_t cols) {
+  Matrix m;
+  m.allocate(rows, cols);
+  return m;
 }
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<float>> init) {
@@ -292,15 +299,19 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+// The row norms below run row chunks on the pool (runtime::parallel_rows);
+// each row's accumulation loop is the serial one, so results are bit-equal
+// at any pool width.
+
 Matrix row_l1_norm(const Matrix& x) {
   Matrix out(x.rows(), 1);
   profiling::count_flops(2 * x.size());
-  for (index_t i = 0; i < x.rows(); ++i) {
+  runtime::parallel_rows(x.rows(), x.cols(), [&](index_t i) {
     const float* r = x.row(i);
     float acc = 0.0f;
     for (index_t j = 0; j < x.cols(); ++j) acc += std::fabs(r[j]);
     out.at(i, 0) = acc;
-  }
+  });
   return out;
 }
 
@@ -314,12 +325,12 @@ Matrix row_l2_norm(const Matrix& x) {
 Matrix row_squared_l2(const Matrix& x) {
   Matrix out(x.rows(), 1);
   profiling::count_flops(2 * x.size());
-  for (index_t i = 0; i < x.rows(); ++i) {
+  runtime::parallel_rows(x.rows(), x.cols(), [&](index_t i) {
     const float* r = x.row(i);
     float acc = 0.0f;
     for (index_t j = 0; j < x.cols(); ++j) acc += r[j] * r[j];
     out.at(i, 0) = acc;
-  }
+  });
   return out;
 }
 

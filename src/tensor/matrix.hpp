@@ -26,6 +26,10 @@ class Matrix {
   Matrix() = default;
   /// Allocates rows×cols floats, zero-initialised.
   Matrix(index_t rows, index_t cols);
+  /// Allocates rows×cols floats without initialising them (a buffer
+  /// recycled through the Workspace keeps its old contents). Only for
+  /// outputs whose producer writes every element, e.g. spmm_csr.
+  static Matrix uninitialized(index_t rows, index_t cols);
   /// Build a small matrix from nested initializer lists (tests/examples).
   Matrix(std::initializer_list<std::initializer_list<float>> init);
 

@@ -1,9 +1,16 @@
 // Finite-difference gradient checks for every differentiable op.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+
 #include "gradcheck.hpp"
 #include "src/autograd/ops.hpp"
 #include "src/common/rng.hpp"
+#include "src/runtime/parallel.hpp"
+#include "src/runtime/task_pool.hpp"
 #include "src/sparse/incidence.hpp"
 
 namespace sptx {
@@ -207,6 +214,90 @@ TEST(OpGrad, MarginLossEndToEndTransEShape) {
         return autograd::margin_ranking_loss(dp, dn, 0.5f);
       },
       1e-3f, 5e-2f);
+}
+
+// ---- Row-parallel norms ---------------------------------------------------
+//
+// The row norms and their backward rules run row chunks on the pool. Each
+// row's loop is the serial one, so value and gradient must equal a plain
+// serial loop bit for bit at any pool width, on both sides of the inline
+// cutoff (an operand of at most runtime::kRowTaskFloats floats runs inline).
+
+enum class Norm { kL1, kL2, kSquaredL2 };
+
+bool bits_equal(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.bytes()) == 0);
+}
+
+// Serial value and gradient of loss = Σ_i w_i · norm(x_i), written out the
+// way the ops compute them.
+void serial_norm(Norm norm, const Matrix& x, const Matrix& w, Matrix& value,
+                 Matrix& grad) {
+  value = Matrix(x.rows(), 1);
+  grad = Matrix(x.rows(), x.cols());
+  for (index_t i = 0; i < x.rows(); ++i) {
+    const float* r = x.row(i);
+    float acc = 0.0f;
+    if (norm == Norm::kL1) {
+      for (index_t j = 0; j < x.cols(); ++j) acc += std::fabs(r[j]);
+    } else {
+      for (index_t j = 0; j < x.cols(); ++j) acc += r[j] * r[j];
+    }
+    value.at(i, 0) = norm == Norm::kL2 ? std::sqrt(acc) : acc;
+    const float gi = w.at(i, 0);
+    float* drow = grad.row(i);
+    for (index_t j = 0; j < x.cols(); ++j) {
+      switch (norm) {
+        case Norm::kL1:
+          drow[j] += gi * (r[j] > 0.0f ? 1.0f : r[j] < 0.0f ? -1.0f : 0.0f);
+          break;
+        case Norm::kL2:
+          drow[j] += gi / std::max(value.at(i, 0), 1e-12f) * r[j];
+          break;
+        case Norm::kSquaredL2:
+          drow[j] += 2.0f * gi * r[j];
+          break;
+      }
+    }
+  }
+}
+
+TEST(RowParallelNorms, ForwardAndBackwardMatchSerialLoopsBitForBit) {
+  auto& pool = runtime::TaskPool::instance();
+  const int width_before = pool.threads();
+  const index_t d = 100;
+  const index_t per_task = runtime::kRowTaskFloats / d;
+  std::uint64_t seed = 4000;
+  for (int width : {1, 4}) {
+    pool.resize(width);
+    for (index_t rows :
+         {index_t{1}, per_task, per_task + 1, 7 * per_task + 3}) {
+      const Matrix x = random_dense(rows, d, seed++);
+      const Matrix w = random_dense(rows, 1, seed++);
+      for (Norm norm : {Norm::kL1, Norm::kL2, Norm::kSquaredL2}) {
+        const std::string where = "width=" + std::to_string(width) +
+                                  " rows=" + std::to_string(rows) +
+                                  " norm=" +
+                                  std::to_string(static_cast<int>(norm));
+        Variable p = Variable::leaf(x, true);
+        Variable y = norm == Norm::kL1   ? autograd::row_l1(p)
+                     : norm == Norm::kL2 ? autograd::row_l2(p)
+                                         : autograd::row_squared_l2(p);
+        autograd::sum_all(autograd::mul(y, Variable::leaf(w, false)))
+            .backward();
+        Matrix value, grad;
+        serial_norm(norm, x, w, value, grad);
+        EXPECT_TRUE(bits_equal(y.value(), value)) << where;
+        EXPECT_TRUE(bits_equal(p.grad(), grad)) << where;
+        const Matrix direct = norm == Norm::kL1   ? row_l1_norm(x)
+                              : norm == Norm::kL2 ? row_l2_norm(x)
+                                                  : row_squared_l2(x);
+        EXPECT_TRUE(bits_equal(direct, value)) << where;
+      }
+    }
+  }
+  pool.resize(width_before);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Kernel-equivalence suite: every forward SpMM kernel (naive / unrolled /
-// tiled / parallel / simd / tiled_parallel / auto) and both backward paths
+// Kernel-equivalence suite: every forward SpMM kernel (naive / simd /
+// tiled_parallel / auto) and both backward paths
 // (direct scatter, cached-transpose gather) must agree within 1e-5 on
 // randomized inputs — including empty rows, dims not divisible by the SIMD
 // width, single-row matrices, and ±1-only incidence matrices that take the
@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "src/common/cpu_features.hpp"
 #include "src/common/rng.hpp"
+#include "src/runtime/task_pool.hpp"
 #include "src/sparse/incidence.hpp"
 #include "src/sparse/spmm.hpp"
 
@@ -23,9 +25,9 @@ constexpr float kTol = 1e-5f;
 
 const std::vector<SpmmKernel>& all_kernels() {
   static const std::vector<SpmmKernel> kernels = {
-      SpmmKernel::kNaive,    SpmmKernel::kUnrolled,
-      SpmmKernel::kTiled,    SpmmKernel::kParallel,
-      SpmmKernel::kSimd,     SpmmKernel::kTiledParallel,
+      SpmmKernel::kNaive,
+      SpmmKernel::kSimd,
+      SpmmKernel::kTiledParallel,
       SpmmKernel::kAuto,
   };
   return kernels;
@@ -180,6 +182,88 @@ TEST(KernelEquivalence, BothBackwardPathsAgreeWithDenseTranspose) {
   }
 }
 
+// ---- nnz-balanced transposed backward ------------------------------------
+//
+// The gather backward cuts its tasks by Aᵀ's cumulative nonzeros and splits
+// a heavy Aᵀ row into column panels. That may move work between lanes but
+// not change one bit: on ±1 matrices every path adds each dX element's
+// terms in the same order, so the balanced gather equals the serial scatter
+// and kNaive over an explicit transpose exactly.
+
+bool bits_equal(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.bytes()) == 0);
+}
+
+// hrt incidence of `m` random triples over `n` entities and 3 relations,
+// with relation 0 on ~60% of the triples: Aᵀ's row for relation 0 holds
+// 0.6·m of the 3·m nonzeros — more than one task at any pool width once
+// m ≥ 2000 (tasks hold max(1024, nnz / (8·lanes)) nonzeros), so for d > 16
+// it is split into column panels.
+Csr skewed_hrt(index_t m, index_t n, Rng& rng) {
+  std::vector<Triplet> batch;
+  for (index_t i = 0; i < m; ++i) {
+    const std::int64_t rel =
+        rng.next_float() < 0.6f
+            ? 0
+            : 1 + static_cast<std::int64_t>(rng.next_below(2));
+    batch.push_back({static_cast<std::int64_t>(rng.next_below(n)), rel,
+                     static_cast<std::int64_t>(rng.next_below(n))});
+  }
+  return build_hrt_incidence_csr(batch, n, 3);
+}
+
+TEST(KernelEquivalence, BalancedBackwardIsBitIdenticalToScatterAndNaive) {
+  auto& pool = runtime::TaskPool::instance();
+  const int width_before = pool.threads();
+  int seed = 900;
+  for (int width : {1, 4}) {
+    pool.resize(width);
+    for (index_t d : {8, 20, 100, 128}) {
+      std::vector<Csr> cases;
+      for (index_t m : {0, 1, 300, 6000}) {
+        Rng rng(static_cast<std::uint64_t>(seed++));
+        cases.push_back(skewed_hrt(m, 500, rng));
+      }
+      {
+        // A general ±1 matrix whose column 3 is far heavier than the rest.
+        Rng rng(static_cast<std::uint64_t>(seed++));
+        Csr a = random_csr(4000, 64, 4, 0.8, true, rng);
+        for (index_t& c : a.col_idx) {
+          if (rng.next_float() < 0.5f) c = 3;
+        }
+        cases.push_back(std::move(a));
+      }
+      for (const Csr& a : cases) {
+        const std::string where = "width=" + std::to_string(width) +
+                                  " d=" + std::to_string(d) +
+                                  " rows=" + std::to_string(a.rows);
+        Rng rng(static_cast<std::uint64_t>(seed++));
+        const Matrix g = random_dense(a.rows, d, rng);
+        const Matrix start = random_dense(a.cols, d, rng);
+        const Matrix naive = spmm_csr(transpose(a), g, SpmmKernel::kNaive);
+        for (bool from_zero : {true, false}) {
+          Matrix scatter = from_zero ? Matrix(a.cols, d) : start;
+          Matrix balanced = scatter;
+          {
+            config::ScopedOverride force("SPTX_SPMM_BACKWARD", "scatter");
+            spmm_csr_transposed_accumulate(a, g, scatter);
+          }
+          {
+            config::ScopedOverride force("SPTX_SPMM_BACKWARD", "transpose");
+            spmm_csr_transposed_accumulate(a, g, balanced);
+          }
+          EXPECT_TRUE(bits_equal(balanced, scatter)) << where;
+          if (from_zero) {
+            EXPECT_TRUE(bits_equal(balanced, naive)) << where;
+          }
+        }
+      }
+    }
+  }
+  pool.resize(width_before);
+}
+
 TEST(KernelEquivalence, AutoResolvesToConcreteKernel) {
   Rng rng(42);
   const Csr small = random_csr(4, 4, 2, 1.0, true, rng);
@@ -188,12 +272,13 @@ TEST(KernelEquivalence, AutoResolvesToConcreteKernel) {
     EXPECT_NE(spmm_auto_kernel(small, dim), SpmmKernel::kAuto);
     EXPECT_NE(spmm_auto_kernel(big, dim), SpmmKernel::kAuto);
   }
-  // Without SIMD the auto choice must be a scalar kernel.
-  if (!simd_enabled()) {
-    for (index_t dim : {8, 128, 1024}) {
-      const SpmmKernel k = spmm_auto_kernel(big, dim);
-      EXPECT_NE(k, SpmmKernel::kSimd);
-      EXPECT_NE(k, SpmmKernel::kTiledParallel);
+  // With or without SIMD the auto choice is one of the two engine kernels
+  // (without AVX2+FMA they run their scalar mirror); never the oracle.
+  for (index_t dim : {8, 128, 1024}) {
+    for (const Csr* a : {&small, &big}) {
+      const SpmmKernel k = spmm_auto_kernel(*a, dim);
+      EXPECT_TRUE(k == SpmmKernel::kSimd || k == SpmmKernel::kTiledParallel)
+          << "dim=" << dim << " kernel " << static_cast<int>(k);
     }
   }
 }
@@ -204,19 +289,22 @@ TEST(KernelEquivalence, AutoEnvOverrideForcesKernel) {
   // The dispatch consults the installed runtime-config snapshot: a
   // programmatic override forces a kernel...
   RuntimeConfig rc = RuntimeConfig::from_env();
-  rc.set("SPTX_SPMM_KERNEL", "tiled");
+  rc.set("SPTX_SPMM_KERNEL", "simd");
   config::install(rc);
-  EXPECT_EQ(spmm_auto_kernel(a, 128), SpmmKernel::kTiled);
+  EXPECT_EQ(spmm_auto_kernel(a, 128), SpmmKernel::kSimd);
   rc.set("SPTX_SPMM_KERNEL", "NAIVE");  // flags/enums are case-insensitive
   config::install(rc);
   EXPECT_EQ(spmm_auto_kernel(a, 128), SpmmKernel::kNaive);
   // ...an invalid name is rejected at set() time instead of being silently
   // dropped...
   EXPECT_THROW(rc.set("SPTX_SPMM_KERNEL", "not-a-kernel"), Error);
+  for (const char* removed : {"unrolled", "tiled", "parallel"}) {
+    EXPECT_THROW(rc.set("SPTX_SPMM_KERNEL", removed), Error) << removed;
+  }
   // ...and the environment path works through a fresh snapshot.
-  setenv("SPTX_SPMM_KERNEL", "tiled", 1);
+  setenv("SPTX_SPMM_KERNEL", "simd", 1);
   config::install(RuntimeConfig::from_env());
-  EXPECT_EQ(spmm_auto_kernel(a, 128), SpmmKernel::kTiled);
+  EXPECT_EQ(spmm_auto_kernel(a, 128), SpmmKernel::kSimd);
   unsetenv("SPTX_SPMM_KERNEL");
   config::install(RuntimeConfig::from_env());
   EXPECT_NE(spmm_auto_kernel(a, 128), SpmmKernel::kAuto);

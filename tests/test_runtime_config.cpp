@@ -102,9 +102,9 @@ TEST(RuntimeConfig, SetValidatesNameTypeAndChoices) {
   EXPECT_THROW(rc.set("SPTX_NOT_A_KNOB", "1"), Error);
   EXPECT_THROW(rc.set("SPTX_SPMM_KERNEL", "warp-speed"), Error);
   EXPECT_THROW(rc.set("SPTX_DDP_WORKERS", "many"), Error);
-  rc.set("SPTX_SPMM_KERNEL", "TILED");  // case-insensitive enum
+  rc.set("SPTX_SPMM_KERNEL", "TILED_PARALLEL");  // case-insensitive enum
   EXPECT_EQ(rc.origin("SPTX_SPMM_KERNEL"), ConfigOrigin::kOverride);
-  EXPECT_EQ(to_lower(rc.value_or("SPTX_SPMM_KERNEL", "")), "tiled");
+  EXPECT_EQ(to_lower(rc.value_or("SPTX_SPMM_KERNEL", "")), "tiled_parallel");
   rc.clear("SPTX_SPMM_KERNEL");
   EXPECT_EQ(rc.value_or("SPTX_SPMM_KERNEL", ""), "auto");
   EXPECT_EQ(rc.origin("SPTX_SPMM_KERNEL"), ConfigOrigin::kDefault);

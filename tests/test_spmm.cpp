@@ -64,8 +64,7 @@ std::vector<SpmmCase> spmm_cases() {
   std::vector<SpmmCase> cases;
   int seed = 0;
   for (SpmmKernel k :
-       {SpmmKernel::kNaive, SpmmKernel::kUnrolled, SpmmKernel::kTiled,
-        SpmmKernel::kParallel, SpmmKernel::kSimd, SpmmKernel::kTiledParallel,
+       {SpmmKernel::kNaive, SpmmKernel::kSimd, SpmmKernel::kTiledParallel,
         SpmmKernel::kAuto}) {
     cases.push_back({seed++, 1, 1, 1, 1, k});        // degenerate
     cases.push_back({seed++, 16, 8, 40, 5, k});      // odd dim (tail loop)

@@ -5,9 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/kg/synthetic.hpp"
 #include "src/models/model.hpp"
+#include "src/runtime/task_pool.hpp"
+#include "src/sparse/incidence.hpp"
+#include "src/sparse/spmm.hpp"
 #include "src/tensor/matrix.hpp"
 #include "src/tensor/memory_tracker.hpp"
 #include "src/tensor/workspace.hpp"
@@ -107,6 +114,76 @@ TEST(Workspace, NestedScopesDrainOnlyAtOutermostExit) {
     EXPECT_EQ(tracker.total_allocs(), before);  // pool hit
   }
   EXPECT_EQ(tracker.current(), live_before);
+}
+
+// spmm_csr takes its output uninitialised from the pool, relying on every
+// kernel to write every element. Poison the recycled buffer with NaN first:
+// any element a kernel skips (an empty row, a column tail, a panel edge)
+// would leak a NaN into the result and break the match with kNaive.
+TEST(Workspace, RecycledSpmmOutputIsFullyOverwrittenByEveryKernel) {
+  Rng rng(31);
+  const index_t n = 9000, r = 4;
+  std::vector<Triplet> batch;
+  for (int i = 0; i < 16384; ++i) {
+    batch.push_back({static_cast<std::int64_t>(rng.next_below(n)),
+                     static_cast<std::int64_t>(rng.next_below(r)),
+                     static_cast<std::int64_t>(rng.next_below(n))});
+  }
+  // A CSR with empty rows in the middle and at both ends.
+  Csr sparse_rows;
+  sparse_rows.rows = 300;
+  sparse_rows.cols = n + r;
+  for (index_t i = 0; i < sparse_rows.rows; ++i) {
+    sparse_rows.row_ptr.push_back(static_cast<index_t>(sparse_rows.nnz()));
+    if (i % 3 != 0 || i == 0 || i + 1 == sparse_rows.rows) continue;
+    for (int k = 0; k < 1 + i % 5; ++k) {
+      sparse_rows.col_idx.push_back(
+          static_cast<index_t>(rng.next_below(n + r)));
+      sparse_rows.values.push_back(k % 2 == 0 ? 1.0f : -1.0f);
+    }
+  }
+  sparse_rows.row_ptr.push_back(static_cast<index_t>(sparse_rows.nnz()));
+  // hrt (3 nnz/row), ht (2), selection (1): the fused register paths. The
+  // 16384-row batch at d = 128 makes an 8 MB output (streaming stores) over
+  // a table past the prefetch threshold.
+  const std::vector<Csr> matrices = {
+      build_hrt_incidence_csr(batch, n, r),
+      build_ht_incidence_csr(batch, n + r),
+      build_entity_selection_csr(batch, n + r, TripletSlot::kTail),
+      sparse_rows,
+  };
+  auto& pool = runtime::TaskPool::instance();
+  const int width_before = pool.threads();
+  for (int width : {1, 4}) {
+    pool.resize(width);
+    for (index_t d : {20, 128}) {
+      Matrix x(n + r, d);
+      x.fill_uniform(rng, -1.0f, 1.0f);
+      for (const Csr& a : matrices) {
+        const Matrix want = spmm_csr(a, x, SpmmKernel::kNaive);
+        ScopedWorkspace ws;
+        for (SpmmKernel k : {SpmmKernel::kNaive, SpmmKernel::kSimd,
+                             SpmmKernel::kTiledParallel, SpmmKernel::kAuto}) {
+          {
+            Matrix poison = Matrix::uninitialized(a.rows, d);
+            poison.fill(std::numeric_limits<float>::quiet_NaN());
+          }
+          const std::int64_t hits = Workspace::instance().stats().hits;
+          const Matrix got = spmm_csr(a, x, k);
+          EXPECT_EQ(Workspace::instance().stats().hits, hits + 1)
+              << "output did not come from the poisoned buffer";
+          index_t mismatches = 0;
+          for (index_t i = 0; i < got.size(); ++i) {
+            if (!(got.data()[i] == want.data()[i])) ++mismatches;
+          }
+          EXPECT_EQ(mismatches, 0)
+              << "kernel " << static_cast<int>(k) << " width=" << width
+              << " d=" << d << " rows=" << a.rows;
+        }
+      }
+    }
+  }
+  pool.resize(width_before);
 }
 
 // The acceptance property: zero per-batch heap-allocation growth in
