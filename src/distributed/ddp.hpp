@@ -25,9 +25,14 @@
 //    shape (near-linear until communication shows) is what the paper
 //    reports.
 //
-// Registry knobs (common/runtime_config.hpp): SPTX_DDP_WORKERS,
-// SPTX_DDP_SHARD and SPTX_DDP_PLAN_CACHE override the corresponding
-// DdpConfig fields.
+// The epoch schedule both executors run (train_ddp here, train_ddp_procs
+// in proc_ddp.hpp) lives in epoch.hpp.
+//
+// Registry knobs (common/runtime_config.hpp), read by resolve():
+// SPTX_DDP_WORKERS, SPTX_DDP_SHARD, SPTX_DDP_PLAN_CACHE, SPTX_DDP_RETRIES,
+// SPTX_CHECKPOINT_EVERY, SPTX_CHECKPOINT_KEEP, SPTX_DDP_MODE,
+// SPTX_DDP_HEARTBEAT_MS, SPTX_DDP_POLICY and SPTX_DDP_SHM_BYTES override
+// the corresponding DdpConfig fields.
 #pragma once
 
 #include <functional>
@@ -126,13 +131,17 @@ struct DdpResult {
   std::int64_t allreduce_rows = 0;     // kDdpAllReduceRows (sparse path)
   std::int64_t dense_reduces = 0;      // kDdpDenseReduces (fallback path)
   std::int64_t incidence_builds = 0;   // kIncidenceBuilds
-  /// Per-worker plan-cache traffic, and the aggregate over all workers.
+  /// Plan-cache traffic of each replica this process held, and their sum
+  /// (zeros when plan_cache is off). Threads mode: one entry per worker.
+  /// Procs mode: one entry, the supervisor's own cache — the worker
+  /// processes' caches are not reported.
   std::vector<sparse::PlanCache::Stats> worker_plan_stats;
   sparse::PlanCache::Stats plan_stats;
   // ---- fault tolerance ---------------------------------------------------
   /// First epoch this run executed (> 0 when resumed).
   int start_epoch = 0;
-  /// Worker deaths detected and shards re-run on the driving thread.
+  /// Worker deaths detected, and shards re-run on the driving thread
+  /// (threads) or the supervisor (procs).
   int worker_failures = 0;
   std::int64_t shards_reassigned = 0;
   /// Crash-safety traffic: rotated checkpoints written, newest path.
@@ -158,8 +167,8 @@ DdpResult train_ddp(
     const std::function<std::unique_ptr<models::KgeModel>(Rng&)>& make_model,
     const kg::TripletSource& data, const DdpConfig& config);
 
-/// Apply the registry's DDP overrides (SPTX_DDP_WORKERS / SPTX_DDP_SHARD /
-/// SPTX_DDP_PLAN_CACHE) to `config`.
+/// Apply the registry's ten DDP overrides (listed at the top of this file)
+/// to `config`.
 DdpConfig resolve(const DdpConfig& config, const RuntimeConfig& rc);
 
 /// Engine path: resolve against an explicit snapshot instead of the

@@ -17,16 +17,12 @@
 
 #include "src/common/error.hpp"
 #include "src/common/fault.hpp"
-#include "src/common/simd.hpp"
 #include "src/common/thread_annotations.hpp"
-#include "src/distributed/shard_grads.hpp"
+#include "src/distributed/epoch.hpp"
 #include "src/distributed/transport.hpp"
-#include "src/kg/negative_sampler.hpp"
 #include "src/kg/streaming_store.hpp"
 #include "src/models/checkpoint.hpp"
-#include "src/nn/optim.hpp"
 #include "src/profiling/counters.hpp"
-#include "src/profiling/timer.hpp"
 #include "src/runtime/task_pool.hpp"
 
 namespace sptx::distributed {
@@ -241,128 +237,21 @@ void decode_shard_grad(std::string_view payload, int& epoch,
   }
 }
 
-// ---- shard execution (shared by worker processes and supervisor re-runs) ---
-
-/// One model replica plus the compiled-batch machinery around it. Both the
-/// supervisor's master and every worker process hold exactly one.
-struct Replica {
-  std::unique_ptr<models::KgeModel> model;
-  models::ScoringCoreModel* scoring = nullptr;
-  std::vector<autograd::Variable> params;
-  std::vector<models::ParamIndexSpace> spaces;
-  sparse::ScoringRecipe recipe;
-  std::unique_ptr<sparse::PlanCache> cache;  // nullptr = caching off
-  bool support_verified = false;
-  bool constrained_all = false;  // post_step has covered every row
-
-  void init(std::unique_ptr<models::KgeModel> m, bool use_cache) {
-    model = std::move(m);
-    scoring = dynamic_cast<models::ScoringCoreModel*>(model.get());
-    params = model->params();
-    spaces = model->param_index_spaces();
-    if (scoring != nullptr) recipe = scoring->recipe();
-    if (use_cache) cache = std::make_unique<sparse::PlanCache>();
-    // Materialise every gradient buffer (zeroed) up front, mirroring the
-    // threaded path.
-    for (auto& param : params) param.grad();
-  }
-
-  /// post_step over the batch's touched rows — over every row the first
-  /// time in this process, as the threaded executor and the trainer do.
-  void post_step(const sparse::RowSupport& touched) {
-    if (constrained_all) {
-      model->post_step(touched);
-    } else {
-      model->post_step();
-      constrained_all = true;
-    }
-  }
-};
-
-/// Forward + backward + harvest for one shard — operation-for-operation the
-/// threaded executor's run_shard, so a shard computed here is bit-identical
-/// to one computed by a ddp.cpp worker thread. Returns the weighted loss.
-float compute_shard(Replica& rep, std::span<const Triplet> pos_all,
-                    std::span<const Triplet> neg_all, index_t count,
-                    index_t shard_size, index_t s,
-                    index_t shard_ordinal_base, index_t n_ent, index_t n_rel,
-                    ShardGrads& out) {
-  const index_t s_begin = s * shard_size;
-  const index_t n_s = std::min<index_t>(shard_size, count - s_begin);
-  const std::span<const Triplet> pos = pos_all.subspan(
-      static_cast<std::size_t>(s_begin), static_cast<std::size_t>(n_s));
-  const std::span<const Triplet> neg = neg_all.subspan(
-      static_cast<std::size_t>(s_begin), static_cast<std::size_t>(n_s));
-  profiling::count_event(profiling::Counter::kDdpShards);
-
-  autograd::Variable loss;
-  if (rep.scoring != nullptr) {
-    const sparse::PlanCache::Key key =
-        static_cast<sparse::PlanCache::Key>(shard_ordinal_base + s) << 1;
-    std::shared_ptr<const sparse::CompiledBatch> pos_plan =
-        rep.cache != nullptr ? rep.cache->find(key) : nullptr;
-    if (!pos_plan) {
-      pos_plan = sparse::CompiledBatch::compile(pos, rep.recipe, n_ent, n_rel,
-                                                /*copy_triplets=*/false);
-      if (rep.cache != nullptr) rep.cache->put(key, pos_plan);
-    }
-    std::shared_ptr<const sparse::CompiledBatch> neg_plan =
-        rep.cache != nullptr ? rep.cache->find(key | 1) : nullptr;
-    if (!neg_plan) {
-      neg_plan = sparse::CompiledBatch::compile_owned(
-          std::vector<Triplet>(neg.begin(), neg.end()), rep.recipe, n_ent,
-          n_rel);
-      if (rep.cache != nullptr) rep.cache->put(key | 1, neg_plan);
-    }
-    loss = rep.scoring->loss(*pos_plan, *neg_plan);
-  } else {
-    loss = rep.model->loss(pos, neg);
-  }
-
-  const float weight = static_cast<float>(n_s) / static_cast<float>(count);
-  autograd::scale(loss, weight).backward();
-  harvest_shard_grads(rep.params, rep.spaces, pos, neg, n_ent, n_rel, out);
-  if (!rep.support_verified) {
-    nn::verify_support_exhausts_grads(rep.params, rep.model->name());
-    rep.support_verified = true;
-  }
-  return loss.value().at(0, 0) * weight;
-}
-
-/// The batch's row support and, per parameter, the rows the step touches
-/// (sparse::ParamRows — the mapping the threaded path's step broadcast and
-/// the trainer use).
-struct StepRows {
-  sparse::RowSupport touched;
-  std::vector<char> dense;                 // per param: every row
-  std::vector<std::vector<index_t>> rows;  // per param: sorted rows
-
-  StepRows(Replica& rep, std::span<const Triplet> pos_all,
-           std::span<const Triplet> neg_all, index_t n_ent, index_t n_rel)
-      : touched(n_ent, n_rel) {
-    touched.add(pos_all);
-    touched.add(neg_all);
-    for (std::size_t i = 0; i < rep.params.size(); ++i) {
-      const sparse::ParamRows pr(&touched, rep.spaces[i],
-                                 rep.params[i].grad().rows());
-      dense.push_back(pr.all() ? 1 : 0);
-      rows.push_back(pr.all() ? std::vector<index_t>{} : pr.rows());
-    }
-  }
-};
+// ---- step frames -----------------------------------------------------------
 
 /// Step payload: the reduced gradient restricted to the batch support. The
-/// bytes are replica-0's gradient rows verbatim, so every process applies
+/// bytes are the master's gradient rows verbatim, so every process applies
 /// bit-identical axpy updates.
 std::string encode_step(int epoch, std::int64_t batch, Replica& rep,
-                        const StepRows& support) {
+                        const sparse::RowSupport& touched) {
   WireWriter w;
   w.i32(epoch);
   w.i64(batch);
   w.u32(static_cast<std::uint32_t>(rep.params.size()));
   for (std::size_t i = 0; i < rep.params.size(); ++i) {
     const Matrix& g0 = rep.params[i].grad();
-    if (support.dense[i] != 0) {  // dense parameter: full matrix
+    const sparse::ParamRows param_rows(&touched, rep.spaces[i], g0.rows());
+    if (param_rows.all()) {  // dense parameter: full matrix
       w.u32(0);
       w.i64(g0.rows());
       w.i64(g0.cols());
@@ -370,7 +259,7 @@ std::string encode_step(int epoch, std::int64_t batch, Replica& rep,
         w.bytes(g0.row(k),
                 static_cast<std::size_t>(g0.cols()) * sizeof(float));
     } else {
-      const std::vector<index_t>& rows = support.rows[i];
+      const std::vector<index_t> rows = param_rows.rows();
       w.u32(1);
       w.i64(static_cast<std::int64_t>(rows.size()));
       w.i64(g0.cols());
@@ -383,12 +272,12 @@ std::string encode_step(int epoch, std::int64_t batch, Replica& rep,
   return w.take();
 }
 
-/// Apply a step frame to a replica: the same axpy / post-zero discipline as
-/// the threaded broadcast, sourced from the frame instead of local g0, then
-/// post_step over the batch's `touched` rows.
-void apply_step(std::string_view payload, Replica& rep, float lr,
-                int expect_epoch, std::int64_t expect_batch,
-                const sparse::RowSupport& touched) {
+/// Decode a step frame into `rep`'s gradient buffers, which are all zero
+/// between batches (harvest clears what each shard wrote). Every row must
+/// lie in the batch support `touched`, where apply_step clears it again.
+void decode_step(std::string_view payload, Replica& rep, int expect_epoch,
+                 std::int64_t expect_batch,
+                 const sparse::RowSupport& touched) {
   WireReader r(payload);
   const int epoch = r.i32();
   const std::int64_t batch = r.i64();
@@ -401,38 +290,37 @@ void apply_step(std::string_view payload, Replica& rep, float lr,
   SPTX_CHECK_CODE(num_params == rep.params.size(),
                   ErrorCode::kTransportError, "step frame parameter count "
                       << num_params << " != " << rep.params.size());
-  std::vector<float> scratch;
   std::vector<index_t> rows;
-  const bool vec = simd_enabled();
   for (std::uint32_t i = 0; i < num_params; ++i) {
     const std::uint32_t kind = r.u32();
     const index_t nrows = r.i64();
     const index_t cols = r.i64();
-    Matrix& v = rep.params[i].mutable_value();
-    scratch.resize(static_cast<std::size_t>(cols));
-    if (kind == 0) {  // dense: whole-matrix axpy, matching axpy_(-lr, g0)
-      Matrix g(nrows, cols);
-      for (index_t k = 0; k < nrows; ++k) {
-        const std::string_view raw =
-            r.raw(static_cast<std::size_t>(cols) * sizeof(float));
-        std::memcpy(g.row(k), raw.data(), raw.size());
-      }
-      v.axpy_(-lr, g);
-    } else {
-      rows.resize(static_cast<std::size_t>(nrows));
-      const std::string_view raw_rows =
-          r.raw(static_cast<std::size_t>(nrows) * sizeof(index_t));
-      std::memcpy(rows.data(), raw_rows.data(), raw_rows.size());
-      for (index_t k = 0; k < nrows; ++k) {
-        const std::string_view raw =
-            r.raw(static_cast<std::size_t>(cols) * sizeof(float));
-        std::memcpy(scratch.data(), raw.data(), raw.size());
-        simd::axpy(v.row(rows[static_cast<std::size_t>(k)]), scratch.data(),
-                   -lr, cols, vec);
-      }
+    Matrix& g = rep.params[i].grad();
+    const sparse::ParamRows param_rows(&touched, rep.spaces[i], g.rows());
+    SPTX_CHECK_CODE(cols == g.cols() && (kind == 0) == param_rows.all() &&
+                        (kind != 0 || nrows == g.rows()),
+                    ErrorCode::kTransportError,
+                    "step frame parameter " << i
+                        << " does not match the batch support");
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(cols) * sizeof(float);
+    if (kind == 0) {
+      for (index_t k = 0; k < nrows; ++k)
+        std::memcpy(g.row(k), r.raw(row_bytes).data(), row_bytes);
+      continue;
+    }
+    rows.resize(static_cast<std::size_t>(nrows));
+    const std::string_view raw_rows =
+        r.raw(static_cast<std::size_t>(nrows) * sizeof(index_t));
+    std::memcpy(rows.data(), raw_rows.data(), raw_rows.size());
+    for (index_t row : rows) {
+      SPTX_CHECK_CODE(row >= 0 && row < g.rows() && param_rows.covers(row),
+                      ErrorCode::kTransportError,
+                      "step frame row " << row << " of parameter " << i
+                                        << " is outside the batch support");
+      std::memcpy(g.row(row), r.raw(row_bytes).data(), row_bytes);
     }
   }
-  rep.post_step(touched);
 }
 
 // ---- worker process --------------------------------------------------------
@@ -440,34 +328,18 @@ void apply_step(std::string_view payload, Replica& rep, float lr,
 /// Run one epoch on the worker side. Returns false when a kShutdown frame
 /// arrived instead of the expected step (clean early exit).
 bool worker_run_epoch(Conn& conn, Mutex& send_mu, Replica& rep,
-                      const kg::TripletSource& data,
-                      kg::NegativeSampler& sampler, const SetupMsg& setup,
+                      const kg::TripletSource& data, const SetupMsg& setup,
                       int epoch, const std::vector<int>& live_ranks) {
-  const index_t m = data.size();
-  const index_t n_ent = setup.num_entities;
-  const index_t n_rel = setup.num_relations;
   bool mine = false;
   for (int rk : live_ranks) mine |= (rk == setup.rank);
   SPTX_CHECK_CODE(mine, ErrorCode::kTransportError,
                   "epoch plan does not include this worker (rank "
                       << setup.rank << ")");
 
-  Rng data_rng(setup.run_seed + 1);
-  index_t shard_ordinal_base = 0;
-  std::int64_t batch_ord = 0;
-  for (index_t begin = 0; begin < m;
-       begin += setup.batch_size, ++batch_ord) {
-    const index_t count = std::min<index_t>(setup.batch_size, m - begin);
-    const index_t num_shards = (count + setup.shard_size - 1) /
-                               setup.shard_size;
-    const std::span<const Triplet> pos_all = data.slice(begin, count);
-    // Every worker derives the whole batch's negatives even when it owns no
-    // shard in it: the RNG stream must advance identically everywhere.
-    const std::vector<Triplet> negatives =
-        sampler.pregenerate(pos_all, data_rng);
-    const std::span<const Triplet> neg_all(negatives);
-
-    for (index_t s = 0; s < num_shards; ++s) {
+  EpochPlan plan(data, setup.batch_size, setup.shard_size, setup.run_seed);
+  while (plan.next()) {
+    const Batch& batch = plan.batch();
+    for (index_t s = 0; s < batch.num_shards; ++s) {
       const int owner = live_ranks[static_cast<std::size_t>(s) %
                                    live_ranks.size()];
       if (owner != setup.rank) continue;
@@ -477,34 +349,24 @@ bool worker_run_epoch(Conn& conn, Mutex& send_mu, Replica& rep,
       if (fault::should_fail("ddp_proc_kill", epoch, setup.rank))
         std::_Exit(137);
       ShardGrads sg;
-      const float loss =
-          compute_shard(rep, pos_all, neg_all, count, setup.shard_size, s,
-                        shard_ordinal_base, n_ent, n_rel, sg);
+      const float loss = compute_shard(rep, batch, s, sg);
       const std::string payload =
-          encode_shard_grad(epoch, batch_ord, s, loss, sg);
+          encode_shard_grad(epoch, batch.ordinal, s, loss, sg);
       MutexLock lock(send_mu);
       conn.send(FrameType::kShardGrad, payload, setup.heartbeat_ms * 4);
     }
 
     // Barrier: the reduced gradient for this batch.
-    for (;;) {
-      Frame frame;
-      SPTX_CHECK_CODE(conn.recv(frame, kStepWaitMs),
-                      ErrorCode::kTransportError,
-                      "no step frame within deadline (supervisor wedged?)");
-      if (frame.type == FrameType::kShutdown) return false;
-      SPTX_CHECK_CODE(frame.type == FrameType::kStep,
-                      ErrorCode::kTransportError,
-                      "unexpected frame type "
-                          << static_cast<int>(frame.type)
-                          << " while awaiting step");
-      sparse::RowSupport touched(n_ent, n_rel);
-      touched.add(pos_all);
-      touched.add(neg_all);
-      apply_step(frame.payload, rep, setup.lr, epoch, batch_ord, touched);
-      break;
-    }
-    shard_ordinal_base += num_shards;
+    Frame frame;
+    SPTX_CHECK_CODE(conn.recv(frame, kStepWaitMs), ErrorCode::kTransportError,
+                    "no step frame within deadline (supervisor wedged?)");
+    if (frame.type == FrameType::kShutdown) return false;
+    SPTX_CHECK_CODE(frame.type == FrameType::kStep,
+                    ErrorCode::kTransportError,
+                    "unexpected frame type " << static_cast<int>(frame.type)
+                                             << " while awaiting step");
+    decode_step(frame.payload, rep, epoch, batch.ordinal, batch.touched);
+    apply_step(std::span<Replica>(&rep, 1), batch.touched, setup.lr);
   }
   return true;
 }
@@ -567,8 +429,6 @@ int worker_body(const WorkerEndpoint& endpoint) {
            setup.plan_cache);
   if (!setup.resume_ckpt.empty())
     models::load_train_checkpoint(*rep.model, setup.resume_ckpt);
-  kg::NegativeSampler sampler(setup.num_entities, setup.num_relations,
-                              kg::CorruptionScheme::kUniform);
 
   std::vector<int> live_ranks;
   for (;;) {
@@ -582,7 +442,7 @@ int worker_body(const WorkerEndpoint& endpoint) {
                                              << " between epochs");
     int epoch = 0;
     decode_epoch_begin(next.payload, epoch, live_ranks);
-    if (!worker_run_epoch(*conn, send_mu, rep, data, sampler, setup, epoch,
+    if (!worker_run_epoch(*conn, send_mu, rep, data, setup, epoch,
                           live_ranks))
       return 0;  // shutdown mid-epoch (supervisor abort path)
   }
@@ -649,6 +509,13 @@ class Supervisor {
 
   std::string data_path() const { return run_dir_ + "/data.sptx"; }
   std::string sync_ckpt_path() const { return run_dir_ + "/sync.ckpt"; }
+  /// The master's state at `next_epoch`, for workers that join there.
+  void write_sync_checkpoint(int next_epoch) {
+    models::TrainCheckpointState st;
+    st.next_epoch = next_epoch;
+    st.epoch_loss = result_.epoch_loss;
+    models::save_train_checkpoint(*master_.model, st, sync_ckpt_path());
+  }
 
   void spawn(WorkerProc& w);
   bool handshake_one(int start_epoch, const std::string& resume);
@@ -657,10 +524,8 @@ class Supervisor {
   void shutdown_workers();
   void respawn_dead(int next_epoch);
   std::vector<int> live_ranks() const;
-  void collect_shards(int epoch, std::int64_t batch_ord, index_t num_shards,
-                      const std::vector<int>& owners,
-                      std::vector<ShardGrads>& shard_grads,
-                      std::vector<float>& shard_loss);
+  void collect_shards(int epoch, const Batch& batch,
+                      const std::vector<int>& owners, ShardResults& shards);
   void touch(WorkerProc& w);
   void publish_stats();
 
@@ -834,17 +699,11 @@ void Supervisor::lose(WorkerProc& w, const std::string& why) {
 }
 
 void Supervisor::abort_run(int epoch, const std::string& why) {
-  std::string flushed;
-  if (!res_.checkpoint_path.empty()) {
-    flushed = res_.checkpoint_path + ".abort";
-    models::save_checkpoint(*master_.model, flushed);
-  }
+  const std::string flushed = flush_abort(res_, *master_.model);
   shutdown_workers();
   throw_error(ErrorCode::kWorkerLost,
               "multi-process ddp aborting at epoch " + std::to_string(epoch) +
-                  (flushed.empty() ? std::string()
-                                   : "; parameters flushed to " + flushed) +
-                  "; cause: " + why);
+                  flushed + "; cause: " + why);
 }
 
 void Supervisor::shutdown_workers() {
@@ -901,10 +760,7 @@ void Supervisor::respawn_dead(int next_epoch) {
     if (!sync_written) {
       // Checkpoint-based recovery: the respawned process loads the state
       // the survivors are at and joins at the next epoch boundary.
-      models::TrainCheckpointState st;
-      st.next_epoch = next_epoch;
-      st.epoch_loss = result_.epoch_loss;
-      models::save_train_checkpoint(*master_.model, st, sync_ckpt_path());
+      write_sync_checkpoint(next_epoch);
       sync_written = true;
     }
     ++w.consecutive_respawns;
@@ -926,18 +782,16 @@ void Supervisor::respawn_dead(int next_epoch) {
   }
 }
 
-void Supervisor::collect_shards(int epoch, std::int64_t batch_ord,
-                                index_t num_shards,
+void Supervisor::collect_shards(int epoch, const Batch& batch,
                                 const std::vector<int>& owners,
-                                std::vector<ShardGrads>& shard_grads,
-                                std::vector<float>& shard_loss) {
+                                ShardResults& shards) {
   const auto outstanding = [&]() {
     index_t n = 0;
-    for (index_t s = 0; s < num_shards; ++s) {
+    for (index_t s = 0; s < batch.num_shards; ++s) {
       const int owner = owners[static_cast<std::size_t>(s)];
       if (owner < 0) continue;  // supervisor-owned
       const WorkerProc& w = workers_[static_cast<std::size_t>(owner)];
-      if (w.live && shard_grads[static_cast<std::size_t>(s)].empty()) ++n;
+      if (w.live && shards.grads[static_cast<std::size_t>(s)].empty()) ++n;
     }
     return n;
   };
@@ -982,13 +836,13 @@ void Supervisor::collect_shards(int epoch, std::int64_t batch_ord,
             ShardGrads sg;
             decode_shard_grad(frame.payload, f_epoch, f_batch, f_shard,
                               f_loss, sg);
-            if (f_epoch != epoch || f_batch != batch_ord || f_shard < 0 ||
-                f_shard >= num_shards) {
+            if (f_epoch != epoch || f_batch != batch.ordinal || f_shard < 0 ||
+                f_shard >= batch.num_shards) {
               lose(w, "shard frame out of sequence");
               break;
             }
-            shard_grads[static_cast<std::size_t>(f_shard)] = std::move(sg);
-            shard_loss[static_cast<std::size_t>(f_shard)] = f_loss;
+            shards.grads[static_cast<std::size_t>(f_shard)] = std::move(sg);
+            shards.loss[static_cast<std::size_t>(f_shard)] = f_loss;
             break;
           }
           case FrameType::kWorkerError:
@@ -1023,46 +877,18 @@ void Supervisor::collect_shards(int epoch, std::int64_t batch_ord,
 }
 
 DdpResult Supervisor::run() {
-  SPTX_CHECK(data_.valid() && !data_.empty(), "empty training set");
-  SPTX_CHECK(res_.batch_size > 0 && res_.epochs >= 0, "bad ddp config");
-  SPTX_CHECK(res_.checkpoint_every <= 0 || !res_.checkpoint_path.empty(),
-             "checkpoint_every > 0 needs a checkpoint_path");
+  shard_size_ = checked_shard_size(res_, data_);
   const int p = res_.workers;
-  SPTX_CHECK(p >= 1, "need at least one worker");
-  shard_size_ = res_.shard_size;
-  if (shard_size_ <= 0) shard_size_ = (res_.batch_size + p - 1) / p;
   retries_left_ = res_.max_worker_retries;
 
   const index_t m = data_.size();
   const index_t n_ent = data_.num_entities();
   const index_t n_rel = data_.num_relations();
   master_.init(models::make_model(spec_, n_ent, n_rel), res_.plan_cache);
-  kg::NegativeSampler sampler(n_ent, n_rel, kg::CorruptionScheme::kUniform);
 
-  result_.workers = p;
-  result_.shard_size = shard_size_;
-
-  // Resume, identically to the threaded path: master from the checkpoint,
-  // workers from a sync checkpoint written below.
-  int start_epoch = 0;
-  if (!res_.resume_from.empty()) {
-    std::string path = res_.resume_from;
-    if (!std::filesystem::exists(path)) {
-      const auto found = models::latest_checkpoint(res_.resume_from);
-      SPTX_CHECK_CODE(found.has_value(), ErrorCode::kIo,
-                      "no checkpoint found at '"
-                          << res_.resume_from << "' (or rotations "
-                          << res_.resume_from << ".ep<N>)"
-                          << models::describe_abort_sibling(
-                                 res_.resume_from));
-      path = found->path;
-    }
-    models::TrainCheckpointState st =
-        models::load_train_checkpoint(*master_.model, path);
-    result_.epoch_loss = std::move(st.epoch_loss);
-    start_epoch = st.next_epoch;
-    result_.start_epoch = start_epoch;
-  }
+  RunLog log(res_, shard_size_, result_);
+  // Workers resume from a sync checkpoint of the master written below.
+  const int start_epoch = log.resume(std::span<Replica>(&master_, 1));
 
   {
     StatsReg& reg = stats_reg();
@@ -1077,21 +903,12 @@ DdpResult Supervisor::run() {
     reg.rank_live.assign(static_cast<std::size_t>(p), 0);
   }
 
-  const profiling::CounterWindow shards_window(
-      profiling::Counter::kDdpShards);
-  const profiling::CounterWindow rows_window(
-      profiling::Counter::kDdpAllReduceRows);
-  const profiling::CounterWindow dense_window(
-      profiling::Counter::kDdpDenseReduces);
-  const profiling::CounterWindow builds_window(
-      profiling::Counter::kIncidenceBuilds);
   const profiling::CounterWindow frames_window(
       profiling::Counter::kDdpTransportFrames);
   const profiling::CounterWindow bytes_window(
       profiling::Counter::kDdpTransportBytes);
   const profiling::CounterWindow retries_window(
       profiling::Counter::kDdpTransportRetries);
-  const auto t0 = profiling::clock::now();
 
   if (start_epoch < res_.epochs) {
     // Materialise the dataset for the workers: one self-describing
@@ -1101,10 +918,7 @@ DdpResult Supervisor::run() {
                                           n_ent, n_rel);
     std::string initial_resume;
     if (start_epoch > 0) {
-      models::TrainCheckpointState st;
-      st.next_epoch = start_epoch;
-      st.epoch_loss = result_.epoch_loss;
-      models::save_train_checkpoint(*master_.model, st, sync_ckpt_path());
+      write_sync_checkpoint(start_epoch);
       initial_resume = sync_ckpt_path();
     }
     workers_.resize(static_cast<std::size_t>(p));
@@ -1128,7 +942,7 @@ DdpResult Supervisor::run() {
   }
 
   for (int epoch = start_epoch; epoch < res_.epochs; ++epoch) {
-    const auto epoch_start = profiling::clock::now();
+    log.begin_epoch();
     const std::vector<int> epoch_ranks = live_ranks();
     for (int rank : epoch_ranks) {
       WorkerProc& w = workers_[static_cast<std::size_t>(rank)];
@@ -1142,84 +956,36 @@ DdpResult Supervisor::run() {
     }
     if (abort_pending_) abort_run(epoch, abort_reason_);
 
-    Rng data_rng(res_.seed + 1);
-    double loss_sum = 0.0;
-    index_t batches = 0;
-    index_t shard_ordinal_base = 0;
-    std::int64_t batch_ord = 0;
-
-    for (index_t begin = 0; begin < m;
-         begin += res_.batch_size, ++batch_ord) {
-      const index_t count = std::min<index_t>(res_.batch_size, m - begin);
-      const index_t num_shards = (count + shard_size_ - 1) / shard_size_;
-      const std::span<const Triplet> pos_all = data_.slice(begin, count);
-      const std::vector<Triplet> negatives =
-          sampler.pregenerate(pos_all, data_rng);
-      const std::span<const Triplet> neg_all(negatives);
-
-      std::vector<ShardGrads> shard_grads(
-          static_cast<std::size_t>(num_shards));
-      std::vector<float> shard_loss(static_cast<std::size_t>(num_shards),
-                                    0.0f);
+    EpochPlan plan(data_, res_.batch_size, shard_size_, res_.seed);
+    while (plan.next()) {
+      const Batch& batch = plan.batch();
+      ShardResults shards(batch.num_shards);
       // Ownership was fixed when the epoch began: shard s belongs to
       // epoch_ranks[s % |epoch_ranks|] (-1 = supervisor). A rank that dies
       // mid-epoch keeps its slots — the supervisor covers them — so the
       // surviving workers' view of the assignment never changes.
-      std::vector<int> owners(static_cast<std::size_t>(num_shards), -1);
+      std::vector<int> owners(static_cast<std::size_t>(batch.num_shards), -1);
       if (!epoch_ranks.empty())
-        for (index_t s = 0; s < num_shards; ++s)
+        for (index_t s = 0; s < batch.num_shards; ++s)
           owners[static_cast<std::size_t>(s)] =
               epoch_ranks[static_cast<std::size_t>(s) % epoch_ranks.size()];
 
-      collect_shards(epoch, batch_ord, num_shards, owners, shard_grads,
-                     shard_loss);
+      collect_shards(epoch, batch, owners, shards);
       // Master parameters are consistent here (they only move in the step
       // phase below) — the strict-abort flush point.
       if (abort_pending_) abort_run(epoch, abort_reason_);
       // Cover everything that didn't arrive — dead ranks' shards (their
       // already-received frames are kept: process isolation means a
-      // worker's death cannot corrupt what it already shipped) and, in
-      // degraded operation, entire batches.
-      for (index_t s = 0; s < num_shards; ++s) {
-        if (!shard_grads[static_cast<std::size_t>(s)].empty()) continue;
-        shard_loss[static_cast<std::size_t>(s)] = compute_shard(
-            master_, pos_all, neg_all, count, shard_size_, s,
-            shard_ordinal_base, n_ent, n_rel,
-            shard_grads[static_cast<std::size_t>(s)]);
-        if (owners[static_cast<std::size_t>(s)] >= 0)
-          ++result_.shards_reassigned;
-      }
-
-      // All-reduce in shard-index order into the master's gradient buffers
-      // — the exact loop of the threaded path, so the reduced bytes are
-      // identical no matter which process computed which shard.
-      for (index_t s = 0; s < num_shards; ++s) {
-        ShardGrads& sg = shard_grads[static_cast<std::size_t>(s)];
-        for (std::size_t i = 0; i < master_.params.size(); ++i) {
-          ParamGrad& pg = sg[i];
-          if (!pg.present) continue;
-          Matrix& g0 = master_.params[i].grad();
-          if (pg.dense) {
-            g0.add_(pg.values);
-            profiling::count_event(profiling::Counter::kDdpDenseReduces);
-          } else {
-            const index_t cols = g0.cols();
-            const bool vec = simd_enabled();
-            for (std::size_t k = 0; k < pg.rows.size(); ++k)
-              simd::add(g0.row(pg.rows[k]),
-                        pg.values.row(static_cast<index_t>(k)), cols, vec);
-            profiling::count_event(
-                profiling::Counter::kDdpAllReduceRows,
-                static_cast<std::int64_t>(pg.rows.size()));
-          }
-        }
-      }
+      // worker's death cannot corrupt what it already shipped) and, with
+      // no live worker, entire batches (supervisor-owned, not reassigned).
+      const index_t covered = run_missing_shards(master_, batch, shards);
+      if (!epoch_ranks.empty()) result_.shards_reassigned += covered;
 
       // Broadcast the reduced gradient, then step the master with the same
       // bytes. Serialization happens before the local step zeroes g0.
-      const StepRows support(master_, pos_all, neg_all, n_ent, n_rel);
+      log.add_batch(reduce_shards(shards, master_));
       const std::string step_payload =
-          encode_step(epoch, batch_ord, master_, support);
+          encode_step(epoch, batch.ordinal, master_, batch.touched);
       for (int rank : epoch_ranks) {
         WorkerProc& w = workers_[static_cast<std::size_t>(rank)];
         if (!w.live) continue;
@@ -1230,50 +996,9 @@ DdpResult Supervisor::run() {
         }
       }
       if (abort_pending_) abort_run(epoch, abort_reason_);
-      for (std::size_t i = 0; i < master_.params.size(); ++i) {
-        Matrix& g0 = master_.params[i].grad();
-        if (support.dense[i] != 0) {
-          master_.params[i].mutable_value().axpy_(-res_.lr, g0);
-          g0.zero();
-          continue;
-        }
-        Matrix& v = master_.params[i].mutable_value();
-        const index_t cols = g0.cols();
-        const bool vec = simd_enabled();
-        for (index_t row : support.rows[i])
-          simd::axpy(v.row(row), g0.row(row), -res_.lr, cols, vec);
-        for (index_t row : support.rows[i])
-          std::memset(g0.row(row), 0,
-                      static_cast<std::size_t>(cols) * sizeof(float));
-      }
-      master_.post_step(support.touched);
-
-      float batch_loss = 0.0f;  // shard order: worker-count invariant
-      for (float l : shard_loss) batch_loss += l;
-      loss_sum += batch_loss;
-      ++batches;
-      shard_ordinal_base += num_shards;
+      apply_step(std::span<Replica>(&master_, 1), batch.touched, res_.lr);
     }
-
-    const float mean_loss =
-        batches > 0 ? static_cast<float>(loss_sum / batches) : 0.0f;
-    result_.epoch_loss.push_back(mean_loss);
-    result_.epoch_seconds.push_back(profiling::seconds_since(epoch_start));
-    if (res_.on_epoch) res_.on_epoch(epoch, mean_loss);
-
-    if (res_.checkpoint_every > 0 &&
-        (epoch + 1) % res_.checkpoint_every == 0 &&
-        epoch + 1 < res_.epochs) {
-      models::TrainCheckpointState st;
-      st.next_epoch = epoch + 1;
-      st.epoch_loss = result_.epoch_loss;
-      const std::string path =
-          models::checkpoint_path_for_epoch(res_.checkpoint_path, epoch + 1);
-      models::save_train_checkpoint(*master_.model, st, path);
-      models::prune_checkpoints(res_.checkpoint_path, res_.checkpoint_keep);
-      ++result_.checkpoints_written;
-      result_.last_checkpoint = path;
-    }
+    log.end_epoch(epoch, *master_.model);
 
     // Ranks that survived the epoch reset their crash-loop backoff; dead
     // ranks with budget respawn from the just-consistent state.
@@ -1286,20 +1011,10 @@ DdpResult Supervisor::run() {
   shutdown_workers();
   publish_stats();
 
-  result_.total_seconds = profiling::seconds_since(t0);
-  result_.shards_executed = shards_window.elapsed();
-  result_.allreduce_rows = rows_window.elapsed();
-  result_.dense_reduces = dense_window.elapsed();
-  result_.incidence_builds = builds_window.elapsed();
   result_.transport_frames = frames_window.elapsed();
   result_.transport_bytes = bytes_window.elapsed();
   result_.transport_retries = retries_window.elapsed();
-  if (master_.cache) {
-    const auto stats = master_.cache->stats();
-    result_.worker_plan_stats.push_back(stats);
-    result_.plan_stats = stats;
-  }
-  result_.model = std::move(master_.model);
+  log.finish(std::span<Replica>(&master_, 1));
   return std::move(result_);
 }
 

@@ -18,12 +18,14 @@
 //   (apply step, post_step; next batch)
 //                              ←    kShutdown
 //
-// Bit-identity: the shard decomposition, the negative streams (every
-// process re-derives them from Rng(seed+1) per epoch), the loss weights
-// and the shard-index-ordered reduction are all identical to the threaded
-// executor in ddp.cpp — both share shard_grads.hpp — so `mode=procs`
+// Bit-identity: the supervisor, every worker and the threaded executor in
+// ddp.cpp run one schedule, epoch.hpp — the shard decomposition, the
+// negative streams (every process re-derives them from Rng(seed+1) per
+// epoch), the loss weights, the shard step, the shard-index-ordered
+// reduction and the row step are written once there — so `mode=procs`
 // produces bit-identical checkpoints to `mode=threads` for any worker
-// count, including runs where workers are SIGKILLed and respawned.
+// count, including runs where workers are SIGKILLed and respawned. This
+// file adds only supervision and the wire encoding of shards and steps.
 //
 // Elasticity: a worker that exits, EOFs, or misses the heartbeat deadline
 // is declared lost (kWorkerLost); its outstanding shards re-run on the

@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -275,6 +277,11 @@ TEST(CrashResume, MissingResumeSourceIsTypedIo) {
 // DDP fault tolerance.
 // ---------------------------------------------------------------------------
 
+/// DDP losses are compared as bit patterns: recovery and resume re-run the
+/// same shards and reduce them in the same order, so any difference in the
+/// last bit is a divergence.
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
 struct DdpFixture {
   kg::Dataset ds = crash_dataset();
 
@@ -318,7 +325,32 @@ TEST(DdpFault, WorkerDeathRecoversBitIdentically) {
   EXPECT_EQ(ckpt_bytes(*recovered.model), ckpt_bytes(*clean.model));
   ASSERT_EQ(recovered.epoch_loss.size(), clean.epoch_loss.size());
   for (std::size_t i = 0; i < clean.epoch_loss.size(); ++i)
-    EXPECT_FLOAT_EQ(recovered.epoch_loss[i], clean.epoch_loss[i]);
+    EXPECT_EQ(bits(recovered.epoch_loss[i]), bits(clean.epoch_loss[i]))
+        << "epoch " << i;
+}
+
+TEST(DdpFault, DrivingWorkerDeathRecoversBitIdentically) {
+  DdpFixture fx;
+  const auto clean = distributed::train_ddp(fx.factory(), fx.ds.train,
+                                            fx.config());
+
+  // Worker 0 is the driving thread — the one that re-runs missing shards.
+  // Its death must be just as recoverable: the re-run goes through the
+  // shared shard step, which carries no fault site.
+  auto dc = fx.config();
+  dc.max_worker_retries = 16;
+  fault::install("ddp_worker:die@1:0");
+  const auto recovered = distributed::train_ddp(fx.factory(), fx.ds.train,
+                                                dc);
+  fault::clear();
+
+  EXPECT_GE(recovered.worker_failures, 1);
+  EXPECT_GE(recovered.shards_reassigned, 1);
+  EXPECT_EQ(ckpt_bytes(*recovered.model), ckpt_bytes(*clean.model));
+  ASSERT_EQ(recovered.epoch_loss.size(), clean.epoch_loss.size());
+  for (std::size_t i = 0; i < clean.epoch_loss.size(); ++i)
+    EXPECT_EQ(bits(recovered.epoch_loss[i]), bits(clean.epoch_loss[i]))
+        << "epoch " << i;
 }
 
 TEST(DdpFault, ExhaustedRetriesAbortCleanlyWithValidCheckpoint) {
@@ -371,7 +403,8 @@ TEST(DdpFault, CheckpointResumeMatchesUninterrupted) {
   EXPECT_EQ(ckpt_bytes(*resumed.model), want);
   ASSERT_EQ(resumed.epoch_loss.size(), full.epoch_loss.size());
   for (std::size_t i = 0; i < full.epoch_loss.size(); ++i)
-    EXPECT_FLOAT_EQ(resumed.epoch_loss[i], full.epoch_loss[i]);
+    EXPECT_EQ(bits(resumed.epoch_loss[i]), bits(full.epoch_loss[i]))
+        << "epoch " << i;
   remove_rotations(base);
 }
 

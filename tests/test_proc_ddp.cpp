@@ -12,6 +12,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
@@ -43,6 +45,12 @@ kg::Dataset proc_dataset() {
   return kg::generate({"procddp", 40, 3, 400}, rng, 0.05, 0.1);
 }
 
+/// A path under the test temp dir unique to this process: the suite also
+/// runs as test_proc_ddp_pool4, possibly at the same time.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "_" + std::to_string(::getpid());
+}
+
 std::string ckpt_bytes(models::KgeModel& model) {
   static std::atomic<int> counter{0};
   const std::string path = ::testing::TempDir() + "/pddp_probe_" +
@@ -56,15 +64,20 @@ std::string ckpt_bytes(models::KgeModel& model) {
   return bytes.str();
 }
 
+/// Losses are compared as bit patterns: both executors sum the same shard
+/// losses in the same order, so even a 1-ulp difference is a divergence.
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
 void remove_rotations(const std::string& base) {
   namespace fs = std::filesystem;
   std::error_code ec;
   const fs::path base_path(base);
   fs::path dir = base_path.parent_path();
   if (dir.empty()) dir = ".";
+  const std::string stem = base_path.filename().string();
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.path().filename().string().starts_with(
-            base_path.filename().string()))
+    const std::string name = entry.path().filename().string();
+    if (name == stem || name.starts_with(stem + "."))
       fs::remove(entry.path(), ec);
   }
 }
@@ -87,17 +100,21 @@ struct ProcFixture {
   /// spec.seed overridden to config.seed — both sides start from the same
   /// make_sparse_model(family, n, r, cfg, Rng(config.seed)) parameters.
   std::function<std::unique_ptr<models::KgeModel>(Rng&)> factory(
-      const std::string& family) const {
+      const std::string& family,
+      const std::string& framework = "sparse") const {
     const index_t n = ds.num_entities(), r = ds.num_relations();
-    return [family, n, r](Rng& rng) {
-      return models::make_sparse_model(family, n, r, cfg8(), rng);
+    return [family, framework, n, r](Rng& rng) {
+      return framework == "dense"
+                 ? models::make_dense_model(family, n, r, cfg8(), rng)
+                 : models::make_sparse_model(family, n, r, cfg8(), rng);
     };
   }
 
-  models::ModelSpec spec(const std::string& family) const {
+  models::ModelSpec spec(const std::string& family,
+                         const std::string& framework = "sparse") const {
     models::ModelSpec s;
     s.family = family;
-    s.framework = "sparse";
+    s.framework = framework;
     s.config = cfg8();
     return s;  // seed is overridden to config.seed by the supervisor
   }
@@ -120,35 +137,62 @@ struct ProcFixture {
 // Bit-identity: procs == threads for every worker count × model family.
 // ---------------------------------------------------------------------------
 
-class ProcDdpFamilyTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ProcDdpFamilyTest, BitIdenticalToThreadsForAnyWorkerCount) {
+/// Train `family` with 3 threads, then with 1, 2 and 4 worker processes;
+/// every procs run must reproduce the threads checkpoint and losses bit for
+/// bit.
+void expect_procs_match_threads(const std::string& family,
+                                const std::string& framework,
+                                index_t shard_size) {
   ProcFixture fx;
-  const std::string family = GetParam();
-
   auto threads_dc = fx.config(3);
   threads_dc.mode = "threads";
-  const auto reference =
-      distributed::train_ddp(fx.factory(family), fx.ds.train, threads_dc);
+  threads_dc.shard_size = shard_size;
+  const auto reference = distributed::train_ddp(
+      fx.factory(family, framework), fx.ds.train, threads_dc);
   const std::string want = ckpt_bytes(*reference.model);
 
   for (int workers : {1, 2, 4}) {
+    auto dc = fx.config(workers);
+    dc.shard_size = shard_size;
     const auto procs = distributed::train_ddp_procs(
-        fx.spec(family), fx.ds.train, fx.config(workers));
+        fx.spec(family, framework), fx.ds.train, dc);
     EXPECT_EQ(ckpt_bytes(*procs.model), want)
         << family << " with " << workers << " worker processes diverged";
     ASSERT_EQ(procs.epoch_loss.size(), reference.epoch_loss.size());
     for (std::size_t i = 0; i < reference.epoch_loss.size(); ++i)
-      EXPECT_FLOAT_EQ(procs.epoch_loss[i], reference.epoch_loss[i])
-          << family << " workers=" << workers << " epoch " << i;
+      EXPECT_EQ(bits(procs.epoch_loss[i]), bits(reference.epoch_loss[i]))
+          << family << " workers=" << workers << " epoch " << i << ": "
+          << procs.epoch_loss[i] << " vs " << reference.epoch_loss[i];
     EXPECT_EQ(procs.workers, workers);
     EXPECT_EQ(procs.workers_lost, 0);
   }
   expect_no_children();
 }
 
+class ProcDdpFamilyTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ProcDdpFamilyTest, BitIdenticalToThreadsForAnyWorkerCount) {
+  expect_procs_match_threads(GetParam(), "sparse", 32);
+}
+
 INSTANTIATE_TEST_SUITE_P(Families, ProcDdpFamilyTest,
-                         ::testing::Values("TransE", "TransR", "DistMult"));
+                         ::testing::Values("TransE", "TransR", "DistMult",
+                                           "TransH", "TorusE", "TransD",
+                                           "RotatE"));
+
+// Dense baselines are not scoring-core models: every shard takes the span
+// fallback (KgeModel::loss over the triplet spans) and every parameter the
+// dense path of the harvest, the reduction and the step frame.
+TEST(ProcDdp, DenseBaselineSpanFallbackBitIdenticalToThreads) {
+  expect_procs_match_threads("TransE", "dense", 32);
+}
+
+// 128 = 2 × 48 + 32: the last shard of every batch is short, so the shard
+// weights differ and each shard's plan-cache key must still line up.
+TEST(ProcDdp, UnevenShardsBitIdenticalToThreads) {
+  expect_procs_match_threads("TransE", "sparse", 48);
+  expect_procs_match_threads("TransR", "sparse", 48);
+}
 
 // ---------------------------------------------------------------------------
 // Elasticity drills.
@@ -175,7 +219,8 @@ TEST(ProcDdp, SigkillMidEpochRespawnsAndStaysBitIdentical) {
   EXPECT_EQ(ckpt_bytes(*recovered.model), want);
   ASSERT_EQ(recovered.epoch_loss.size(), clean.epoch_loss.size());
   for (std::size_t i = 0; i < clean.epoch_loss.size(); ++i)
-    EXPECT_FLOAT_EQ(recovered.epoch_loss[i], clean.epoch_loss[i]);
+    EXPECT_EQ(bits(recovered.epoch_loss[i]), bits(clean.epoch_loss[i]))
+        << "epoch " << i;
   expect_no_children();
 }
 
@@ -238,7 +283,7 @@ TEST(ProcDdp, StrictPolicyAbortsCleanlyWithValidFlushAndNoOrphans) {
   auto dc = fx.config(2);
   dc.max_worker_retries = 0;
   dc.policy = "strict";
-  dc.checkpoint_path = ::testing::TempDir() + "/pddp_abort";
+  dc.checkpoint_path = temp_path("pddp_abort");
   std::remove((dc.checkpoint_path + ".abort").c_str());
 
   fault::install("ddp_proc_kill:die@0:1");
@@ -316,7 +361,7 @@ TEST(ProcDdp, CheckpointResumeMatchesUninterrupted) {
       distributed::train_ddp_procs(fx.spec("TransE"), fx.ds.train, dc);
   const std::string want = ckpt_bytes(*full.model);
 
-  const std::string base = ::testing::TempDir() + "/pddp_resume";
+  const std::string base = temp_path("pddp_resume");
   remove_rotations(base);
   auto dc_ckpt = dc;
   dc_ckpt.checkpoint_every = 2;
@@ -335,7 +380,8 @@ TEST(ProcDdp, CheckpointResumeMatchesUninterrupted) {
   EXPECT_EQ(ckpt_bytes(*resumed.model), want);
   ASSERT_EQ(resumed.epoch_loss.size(), full.epoch_loss.size());
   for (std::size_t i = 0; i < full.epoch_loss.size(); ++i)
-    EXPECT_FLOAT_EQ(resumed.epoch_loss[i], full.epoch_loss[i]);
+    EXPECT_EQ(bits(resumed.epoch_loss[i]), bits(full.epoch_loss[i]))
+        << "epoch " << i;
   remove_rotations(base);
   expect_no_children();
 }
