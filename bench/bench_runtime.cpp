@@ -47,7 +47,7 @@ Coo random_coo(index_t rows, index_t cols, index_t nnz, Rng& rng) {
 
 struct ScalingRow {
   int width = 1;
-  double spmm_gflops = 0.0;    // tiled-parallel CSR kernel
+  double spmm_gflops = 0.0;    // forward SpMM (spmm_csr_into)
   double fused_epoch_s = 0.0;  // mean epoch, fused TransE training
   double serve_qps = 0.0;      // score() batches per second, one leader
 };
@@ -90,10 +90,9 @@ ScalingRow run_width(int width, const Csr& a, const Matrix& x, Matrix& c,
   ScalingRow row;
   row.width = width;
 
-  {  // SpMM: the tiled-parallel kernel drives runtime::parallel_for.
+  {  // SpMM: above width 1 the forward runs its pool row blocks.
     const auto t0 = profiling::clock::now();
-    for (int i = 0; i < spmm_iters; ++i)
-      spmm_csr_into(a, x, c, SpmmKernel::kTiledParallel);
+    for (int i = 0; i < spmm_iters; ++i) spmm_csr_into(a, x, c);
     const double s = profiling::seconds_since(t0);
     row.spmm_gflops = 2.0 * static_cast<double>(a.nnz()) *
                       static_cast<double>(x.cols()) * spmm_iters / s / 1e9;

@@ -41,7 +41,7 @@ class SpTransM final : public models::KgeModel {
     auto a = std::make_shared<Csr>(
         build_hrt_incidence_csr(batch, num_entities_, num_relations_));
     autograd::Variable hrt =
-        autograd::spmm(std::move(a), ent_rel_.var(), config_.kernel);
+        autograd::spmm(std::move(a), ent_rel_.var());
     autograd::Variable norm = autograd::row_l2(hrt);
     // ...then scale each triplet's distance by its relation weight, gathered
     // through a relation-selection SpMM so the weight is also trained.

@@ -96,37 +96,9 @@ distributed::DdpResult Engine::train_ddp(
   return result;
 }
 
-namespace {
-
-/// Cheap content identity for a dataset's evaluation inputs: vocabulary
-/// sizes plus every test triplet (the cached candidate batches are a pure
-/// function of exactly these). Never a pointer — addresses get recycled.
-std::uint64_t eval_identity(const kg::Dataset& dataset) {
-  TripletHash h;
-  std::uint64_t acc =
-      0x9E3779B97F4A7C15ULL ^
-      (static_cast<std::uint64_t>(dataset.num_entities()) * 0x100000001B3ULL) ^
-      static_cast<std::uint64_t>(dataset.num_relations());
-  for (const Triplet& t : dataset.test.triplets())
-    acc = (acc * 0x100000001B3ULL) ^ h(t);
-  return acc == 0 ? 1 : acc;  // 0 is the "no cache yet" sentinel
-}
-
-}  // namespace
-
 eval::RankingMetrics Engine::evaluate(const kg::Dataset& dataset,
                                       const eval::EvalConfig& config) {
-  eval::EvalConfig resolved = config;
-  if (resolved.plan_cache == nullptr &&
-      config_.flag_or("SPTX_EVAL_PLAN_CACHE", false)) {
-    const std::uint64_t fingerprint = eval_identity(dataset);
-    if (eval_fingerprint_ != fingerprint) {
-      eval_plans_ = std::make_unique<sparse::PlanCache>();
-      eval_fingerprint_ = fingerprint;
-    }
-    resolved.plan_cache = eval_plans_.get();
-  }
-  return eval::evaluate(model(), dataset, resolved);
+  return eval::evaluate(model(), dataset, config);
 }
 
 std::shared_ptr<const models::KgeModel> Engine::freeze() {

@@ -18,8 +18,8 @@
 // resolves its config-struct against that snapshot — nothing inside an
 // Engine-driven run reads the environment again. By default the snapshot is
 // also installed process-wide so the kernel-dispatch knobs
-// (SPTX_SPMM_KERNEL, SPTX_NO_SIMD, …) consulted below the config-passing
-// layers see the same values.
+// (SPTX_NO_SIMD, SPTX_FUSED) consulted below the config-passing layers see
+// the same values.
 //
 // Compatibility: train()/train_ddp()/evaluate() here are thin wrappers over
 // the legacy free functions — same loop, same RNG stream, bit-identical
@@ -56,7 +56,7 @@ class Engine {
  public:
   struct Options {
     /// (knob, value) overrides applied on top of the environment snapshot,
-    /// e.g. {{"SPTX_SPMM_KERNEL", "simd"}, {"SPTX_PLAN_CACHE", "0"}}.
+    /// e.g. {{"SPTX_NO_SIMD", "1"}, {"SPTX_PREFETCH", "0"}}.
     /// Validated against the registry — a typo throws at construction.
     std::vector<std::pair<std::string, std::string>> config_overrides;
     /// Install this engine's snapshot as the process-wide config
@@ -107,9 +107,9 @@ class Engine {
   distributed::DdpResult train_ddp(const kg::TripletSource& data,
                                    const distributed::DdpConfig& config = {});
 
-  /// Filtered link prediction on `dataset.test`. With SPTX_EVAL_PLAN_CACHE
-  /// on (and no caller-supplied cache), repeated evaluations reuse staged
-  /// candidate batches through an engine-owned plan cache.
+  /// Filtered link prediction on `dataset.test` (eval::evaluate with the
+  /// engine's model; EvalConfig::plan_cache reuses staged candidate batches
+  /// across calls when the caller supplies a cache).
   eval::RankingMetrics evaluate(const kg::Dataset& dataset,
                                 const eval::EvalConfig& config = {});
 
@@ -159,11 +159,6 @@ class Engine {
   std::unique_ptr<models::KgeModel> model_;
   index_t num_entities_ = 0;
   index_t num_relations_ = 0;
-  /// Candidate-plan reuse across evaluate() calls (SPTX_EVAL_PLAN_CACHE);
-  /// bound to one dataset identity by a content fingerprint (sizes + test
-  /// triplets) — evaluating a different or mutated dataset drops the cache.
-  std::unique_ptr<sparse::PlanCache> eval_plans_;
-  std::uint64_t eval_fingerprint_ = 0;
   /// Guards the session registry and the publish counters. The serving
   /// surface — open_session(), publish(), published_version(),
   /// health_json() — is safe to call concurrently (a health-probe thread

@@ -5,6 +5,7 @@
 #include "src/profiling/flops.hpp"
 #include "src/profiling/timer.hpp"
 #include "src/runtime/parallel.hpp"
+#include "src/sparse/spmm.hpp"
 
 namespace sptx::autograd {
 
@@ -78,10 +79,9 @@ Variable scale(const Variable& a, float s) {
 
 // ------------------------------------------------------------------- spmm
 
-Variable spmm(std::shared_ptr<const Csr> a, const Variable& x,
-              SpmmKernel kernel) {
+Variable spmm(std::shared_ptr<const Csr> a, const Variable& x) {
   SPTX_CHECK(a != nullptr, "spmm: null sparse matrix");
-  Matrix out = spmm_csr(*a, x.value(), kernel);
+  Matrix out = spmm_csr(*a, x.value());
   return Variable::op(
       std::move(out), {x},
       [a](Node& n) {

@@ -22,7 +22,6 @@
 #include "src/autograd/variable.hpp"
 #include "src/kg/triplet.hpp"
 #include "src/sparse/sparse_matrix.hpp"
-#include "src/sparse/spmm.hpp"
 
 namespace sptx::autograd {
 
@@ -40,8 +39,7 @@ Variable scale(const Variable& a, float s);
 /// c = A · x, A a CSR incidence matrix held by shared_ptr so the graph can
 /// outlive the caller's batch scope. Backward: dx += Aᵀ·g — a second SpMM
 /// (Appendix G), not M row-scatters.
-Variable spmm(std::shared_ptr<const Csr> a, const Variable& x,
-              SpmmKernel kernel = SpmmKernel::kAuto);
+Variable spmm(std::shared_ptr<const Csr> a, const Variable& x);
 
 // ---- Dense baseline path (TorchKGE-style) --------------------------------
 /// c_i = x[idx_i, :]: per-row embedding lookup. Backward scatter-adds g's

@@ -18,16 +18,6 @@ constexpr ConfigSpec kSpecs[] = {
     {"SPTX_NO_SIMD", ConfigType::kFlag, "0",
      "Force the scalar SpMM kernels even when cpuid reports AVX2+FMA "
      "(kernel-equivalence testing, perf triage)."},
-    {"SPTX_SPMM_KERNEL", ConfigType::kEnum, "auto",
-     "Force a forward SpMM kernel instead of the per-call auto heuristic: "
-     "naive (the reference loop), simd (serial register-blocked rows) or "
-     "tiled_parallel (pool row blocks); the latter two run a scalar mirror "
-     "without AVX2+FMA.",
-     "auto|naive|simd|tiled_parallel"},
-    {"SPTX_SPMM_BACKWARD", ConfigType::kEnum, "auto",
-     "Force the backward SpMM strategy: sequential scatter vs "
-     "cached-transpose parallel gather.",
-     "auto|scatter|transpose"},
     {"SPTX_FUSED", ConfigType::kEnum, "auto",
      "Fused forward+backward scoring kernels (src/kernels): auto/on use the "
      "single-pass fused path for every family that provides it, off keeps "
@@ -45,9 +35,6 @@ constexpr ConfigSpec kSpecs[] = {
     {"SPTX_DDP_PLAN_CACHE", ConfigType::kFlag, "",
      "Override DdpConfig::plan_cache: per-worker compiled-plan caching "
      "across epochs."},
-    {"SPTX_EVAL_PLAN_CACHE", ConfigType::kFlag, "0",
-     "Engine::evaluate only: reuse staged candidate batches across repeated "
-     "evaluations of the same dataset (memory: 2*|test|*N triplets)."},
     {"SPTX_SCALE", ConfigType::kDouble, "0.01",
      "Bench harness: dataset scale factor for the paper-profile benches "
      "(0 < s <= 1)."},
@@ -256,8 +243,6 @@ RuntimeConfig RuntimeConfig::from_env() {
 
 void RuntimeConfig::refresh_hot() {
   hot_.no_simd = flag_or("SPTX_NO_SIMD", false);
-  hot_.spmm_kernel = to_lower(value_or("SPTX_SPMM_KERNEL", "auto"));
-  hot_.spmm_backward = to_lower(value_or("SPTX_SPMM_BACKWARD", "auto"));
   hot_.fused_off = to_lower(value_or("SPTX_FUSED", "auto")) == "off";
 }
 

@@ -1,6 +1,6 @@
 // Typed runtime-configuration registry — every SPTX_* knob in one table.
 //
-// The library grew ~15 environment knobs (kernel overrides, plan-cache
+// The library grew ~15 environment knobs (kernel switches, plan-cache
 // switches, DDP sharding, serving micro-batch tuning) that used to be read
 // by ad-hoc getenv calls deep inside spmm.cpp / trainer.cpp / ddp.cpp, each
 // with its own parsing helper. This header replaces all of that with one
@@ -18,14 +18,14 @@
 //  * to_json()                 — the effective configuration as JSON, for
 //    logging what a run actually used.
 //
-// Knobs that default to "keep the config-struct field" (SPTX_PLAN_CACHE,
+// Knobs that default to "keep the config-struct field" (SPTX_PREFETCH,
 // SPTX_DDP_WORKERS, …) are tri-state: is_set() distinguishes "absent" from
 // an explicit value, and the *_or accessors fall back to the caller's value.
 // All flag parsing is case-insensitive: "0" / "off" / "false" / "no"
 // disable, any other non-empty value enables.
 //
 // Process-wide consumption: hot-path dispatch sites that have no Engine in
-// scope (the SpMM kernel chooser, the SIMD kill switch) consult
+// scope (the SIMD kill switch, the fused-kernel switch) consult
 // config::current(), a shared snapshot initialised lazily from the
 // environment and replaceable via config::install() — which is what
 // Engine construction does, so programmatic overrides reach the kernel
@@ -53,13 +53,13 @@ enum class ConfigType {
 /// One registered knob. The table is pure data — adding a knob means adding
 /// a row here and reading it where it applies.
 struct ConfigSpec {
-  std::string_view name;           // "SPTX_PLAN_CACHE"
+  std::string_view name;           // "SPTX_PREFETCH"
   ConfigType type = ConfigType::kFlag;
   /// Canonical default in text form. Empty = tri-state "keep the caller's
   /// config-struct field" (the *_or accessors' fallback applies).
   std::string_view default_value = {};
   std::string_view doc = {};
-  /// kEnum only: pipe-separated valid values, e.g. "auto|scatter|transpose".
+  /// kEnum only: pipe-separated valid values, e.g. "auto|on|off".
   std::string_view choices = {};
 };
 
@@ -115,14 +115,12 @@ class RuntimeConfig {
   /// Unset tri-state knobs render as null.
   std::string to_json() const;
 
-  /// Pre-resolved values of the knobs consulted on the SpMM dispatch path,
+  /// Pre-resolved values of the knobs consulted on the kernels' hot paths,
   /// recomputed on every mutation so the per-SpMM read is a plain field
   /// access — no name lookup, no string allocation, no parsing.
   struct HotKnobs {
     bool no_simd = false;
-    bool fused_off = false;              // SPTX_FUSED == "off"
-    std::string spmm_kernel = "auto";    // lowercased
-    std::string spmm_backward = "auto";  // lowercased
+    bool fused_off = false;  // SPTX_FUSED == "off"
   };
   const HotKnobs& hot() const { return hot_; }
 

@@ -127,10 +127,15 @@ struct DdpResult {
   int workers = 0;
   index_t shard_size = 0;
   // ---- counters (profiling/counters.hpp windows over this run) ----------
-  std::int64_t shards_executed = 0;    // kDdpShards
+  /// Shard gradients computed (kDdpShards). Procs mode counts the shards
+  /// the supervisor ran plus every shard frame it accepted from a worker,
+  /// so a healthy run reports the same count in both modes.
+  std::int64_t shards_executed = 0;
   std::int64_t allreduce_rows = 0;     // kDdpAllReduceRows (sparse path)
   std::int64_t dense_reduces = 0;      // kDdpDenseReduces (fallback path)
-  std::int64_t incidence_builds = 0;   // kIncidenceBuilds
+  /// kIncidenceBuilds. Procs mode: the supervisor's own builds only — the
+  /// worker processes' counts never cross the wire (as for plan_stats).
+  std::int64_t incidence_builds = 0;
   /// Plan-cache traffic of each replica this process held, and their sum
   /// (zeros when plan_cache is off). Threads mode: one entry per worker.
   /// Procs mode: one entry, the supervisor's own cache — the worker

@@ -108,7 +108,6 @@ std::string encode_setup(const SetupMsg& s) {
   w.f32(s.spec.config.margin);
   w.i32(static_cast<std::int32_t>(s.spec.config.dissimilarity));
   w.i32(static_cast<std::int32_t>(s.spec.config.loss));
-  w.i32(static_cast<std::int32_t>(s.spec.config.kernel));
   w.u32(s.spec.config.normalize_entities ? 1 : 0);
   w.u64(s.spec.seed);
   w.i64(s.num_entities);
@@ -137,7 +136,6 @@ SetupMsg decode_setup(std::string_view payload) {
   s.spec.config.margin = r.f32();
   s.spec.config.dissimilarity = static_cast<models::Dissimilarity>(r.i32());
   s.spec.config.loss = static_cast<models::LossType>(r.i32());
-  s.spec.config.kernel = static_cast<SpmmKernel>(r.i32());
   s.spec.config.normalize_entities = r.u32() != 0;
   s.spec.seed = r.u64();
   s.num_entities = r.i64();
@@ -392,16 +390,28 @@ int worker_body(const WorkerEndpoint& endpoint) {
   // Heartbeats start before the (potentially slow) model/data setup so the
   // supervisor's liveness deadline covers it. Socket writes from the two
   // threads serialize on send_mu; the beacon stops — and the thread joins —
-  // on every exit path via the Finally + runtime::Thread destructors.
+  // on every exit path via the Finally + runtime::Thread destructors. The
+  // beacon waits on hb_cv, so stopping wakes it at once instead of after
+  // the rest of its interval.
   Mutex send_mu;
-  std::atomic<bool> hb_stop{false};
+  Mutex hb_mu;
+  CondVar hb_cv;
+  bool hb_stop = false;  // guarded by hb_mu
   std::atomic<bool> hb_dead{false};
-  runtime::Thread heartbeat([&conn, &send_mu, &hb_stop, &hb_dead, &setup] {
+  runtime::Thread heartbeat([&conn, &send_mu, &hb_mu, &hb_cv, &hb_stop,
+                             &hb_dead, &setup] {
     const auto interval =
         std::chrono::milliseconds(std::max(1, setup.heartbeat_ms / 3));
-    while (!hb_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(interval);
-      if (hb_stop.load(std::memory_order_relaxed)) break;
+    for (;;) {
+      {
+        MutexLock lock(hb_mu);
+        const auto deadline = std::chrono::steady_clock::now() + interval;
+        while (!hb_stop) {
+          if (hb_cv.wait_until(hb_mu, deadline) == std::cv_status::timeout)
+            break;
+        }
+        if (hb_stop) return;
+      }
       // Injected beacon suppression: `heartbeat_stall:fail@N` (stall from
       // the N-th beacon on) or `heartbeat_stall:die@<rank>` (stall one
       // rank permanently). The worker keeps computing — only its liveness
@@ -416,8 +426,12 @@ int worker_body(const WorkerEndpoint& endpoint) {
       }
     }
   });
-  const Finally stop_heartbeat([&hb_stop] {
-    hb_stop.store(true, std::memory_order_relaxed);
+  const Finally stop_heartbeat([&hb_mu, &hb_cv, &hb_stop] {
+    {
+      MutexLock lock(hb_mu);
+      hb_stop = true;
+    }
+    hb_cv.notify_all();
   });
 
   const kg::StreamingTripletStore store =
@@ -843,6 +857,9 @@ void Supervisor::collect_shards(int epoch, const Batch& batch,
             }
             shards.grads[static_cast<std::size_t>(f_shard)] = std::move(sg);
             shards.loss[static_cast<std::size_t>(f_shard)] = f_loss;
+            // The worker's own kDdpShards count stays in its process; count
+            // the accepted frame here so shards_executed covers every shard.
+            profiling::count_event(profiling::Counter::kDdpShards);
             break;
           }
           case FrameType::kWorkerError:

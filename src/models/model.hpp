@@ -62,7 +62,6 @@ struct ModelConfig {
   float margin = 0.5f;     // §5.3 margin
   Dissimilarity dissimilarity = Dissimilarity::kL2;
   LossType loss = LossType::kMarginRanking;
-  SpmmKernel kernel = SpmmKernel::kAuto;  // SpMM variant (§5.5)
   bool normalize_entities = true;
 };
 

@@ -65,19 +65,19 @@ sparse::ScoringRecipe SpTransD::recipe() const {
 autograd::Variable SpTransD::forward(const sparse::CompiledBatch& batch) {
   // Rearranged TransD: (h − t) + r + ((h_pᵀh) − (t_pᵀt)) r_p.
   autograd::Variable ht =
-      autograd::spmm(batch.ht(), entities_.var(), config_.kernel);
+      autograd::spmm(batch.ht(), entities_.var());
   autograd::Variable h =
-      autograd::spmm(batch.head_selection(), entities_.var(), config_.kernel);
+      autograd::spmm(batch.head_selection(), entities_.var());
   autograd::Variable hp = autograd::spmm(batch.head_selection(),
-                                         entity_proj_.var(), config_.kernel);
+                                         entity_proj_.var());
   autograd::Variable t =
-      autograd::spmm(batch.tail_selection(), entities_.var(), config_.kernel);
+      autograd::spmm(batch.tail_selection(), entities_.var());
   autograd::Variable tp = autograd::spmm(batch.tail_selection(),
-                                         entity_proj_.var(), config_.kernel);
+                                         entity_proj_.var());
   autograd::Variable r = autograd::spmm(batch.relation_selection(),
-                                        relations_.var(), config_.kernel);
+                                        relations_.var());
   autograd::Variable rp = autograd::spmm(batch.relation_selection(),
-                                         relation_proj_.var(), config_.kernel);
+                                         relation_proj_.var());
 
   autograd::Variable proj_scale =
       autograd::sub(autograd::row_dot(hp, h), autograd::row_dot(tp, t));
@@ -180,9 +180,9 @@ sparse::ScoringRecipe SpTransA::recipe() const {
 
 autograd::Variable SpTransA::forward(const sparse::CompiledBatch& batch) {
   autograd::Variable hrt =
-      autograd::spmm(batch.hrt(), ent_rel_.var(), config_.kernel);
+      autograd::spmm(batch.hrt(), ent_rel_.var());
   autograd::Variable w = autograd::spmm(batch.relation_selection(),
-                                        metric_.var(), config_.kernel);
+                                        metric_.var());
   // Diagonal adaptive metric: Σ_j w_rj · hrt_j².
   return autograd::row_dot(w, autograd::mul(hrt, hrt));
 }
@@ -272,7 +272,7 @@ sparse::ScoringRecipe SpTransC::recipe() const {
 
 autograd::Variable SpTransC::forward(const sparse::CompiledBatch& batch) {
   autograd::Variable hrt =
-      autograd::spmm(batch.hrt(), ent_rel_.var(), config_.kernel);
+      autograd::spmm(batch.hrt(), ent_rel_.var());
   return autograd::row_squared_l2(hrt);  // Table 2: ||h + r − t||₂²
 }
 
@@ -358,9 +358,9 @@ sparse::ScoringRecipe SpTransM::recipe() const {
 
 autograd::Variable SpTransM::forward(const sparse::CompiledBatch& batch) {
   autograd::Variable hrt =
-      autograd::spmm(batch.hrt(), ent_rel_.var(), config_.kernel);
+      autograd::spmm(batch.hrt(), ent_rel_.var());
   autograd::Variable w = autograd::spmm(batch.relation_selection(),
-                                        rel_weight_.var(), config_.kernel);
+                                        rel_weight_.var());
   return autograd::mul(w, norm_for(hrt, config_.dissimilarity));
 }
 

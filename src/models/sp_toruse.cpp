@@ -27,7 +27,7 @@ sparse::ScoringRecipe SpTorusE::recipe() const {
 
 autograd::Variable SpTorusE::forward(const sparse::CompiledBatch& batch) {
   autograd::Variable hrt =
-      autograd::spmm(batch.hrt(), ent_rel_.var(), config_.kernel);
+      autograd::spmm(batch.hrt(), ent_rel_.var());
   return config_.dissimilarity == Dissimilarity::kL2
              ? autograd::row_squared_l2_torus(hrt)
              : autograd::row_l1_torus(hrt);

@@ -22,7 +22,7 @@ sparse::ScoringRecipe SpTransE::recipe() const {
 
 autograd::Variable SpTransE::forward(const sparse::CompiledBatch& batch) {
   autograd::Variable hrt =
-      autograd::spmm(batch.hrt(), ent_rel_.var(), config_.kernel);
+      autograd::spmm(batch.hrt(), ent_rel_.var());
   return config_.dissimilarity == Dissimilarity::kL2 ? autograd::row_l2(hrt)
                                                      : autograd::row_l1(hrt);
 }

@@ -29,11 +29,11 @@ sparse::ScoringRecipe SpTransH::recipe() const {
 autograd::Variable SpTransH::forward(const sparse::CompiledBatch& batch) {
   // One shared (h − t); w and d gathered through the same selection matrix.
   autograd::Variable ht =
-      autograd::spmm(batch.ht(), entities_.var(), config_.kernel);
+      autograd::spmm(batch.ht(), entities_.var());
   autograd::Variable w = autograd::spmm(batch.relation_selection(),
-                                        normals_.var(), config_.kernel);
+                                        normals_.var());
   autograd::Variable d = autograd::spmm(batch.relation_selection(),
-                                        transfers_.var(), config_.kernel);
+                                        transfers_.var());
 
   // (h − t) + d_r − (w_rᵀ(h − t)) w_r
   autograd::Variable wdot = autograd::row_dot(w, ht);

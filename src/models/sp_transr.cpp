@@ -38,11 +38,11 @@ sparse::ScoringRecipe SpTransR::recipe() const {
 autograd::Variable SpTransR::forward(const sparse::CompiledBatch& batch) {
   // ht = h − t via one SpMM; project once; add the gathered relations.
   autograd::Variable ht =
-      autograd::spmm(batch.ht(), entities_.var(), config_.kernel);
+      autograd::spmm(batch.ht(), entities_.var());
   autograd::Variable projected = autograd::relation_project(
       projections_.var(), ht, batch.relation_indices(), config_.rel_dim);
   autograd::Variable r = autograd::spmm(batch.relation_selection(),
-                                        relations_.var(), config_.kernel);
+                                        relations_.var());
   autograd::Variable translated = autograd::add(projected, r);
   return config_.dissimilarity == Dissimilarity::kL2
              ? autograd::row_l2(translated)

@@ -11,11 +11,6 @@ bool all_unit(const std::vector<float>& values) {
 }
 }  // namespace
 
-bool Coo::unit_values() const {
-  if (unit_values_cache < 0) unit_values_cache = all_unit(values) ? 1 : 0;
-  return unit_values_cache == 1;
-}
-
 bool Csr::unit_values() const {
   if (unit_values_cache < 0) unit_values_cache = all_unit(values) ? 1 : 0;
   return unit_values_cache == 1;

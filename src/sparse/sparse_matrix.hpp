@@ -2,7 +2,8 @@
 //
 // The paper stores the triplet incidence matrix A ∈ {−1,0,1}^{M×(N+R)} in
 // CSR for the CPU SpMM (iSpLib) and COO for the GPU SpMM (DGL g-SpMM),
-// §5.5. Both formats are provided; conversion is O(nnz).
+// §5.5. Here every SpMM runs on CSR; COO is the incidence builders' staging
+// format. Conversion is O(nnz).
 // Values are float so the same types serve general sparse matrices, but
 // incidence matrices only ever hold ±1.
 #pragma once
@@ -37,14 +38,6 @@ struct Coo {
     col_idx.push_back(c);
     values.push_back(v);
   }
-
-  /// True when every stored coefficient is ±1 (the incidence-matrix
-  /// property the SpMM kernels exploit). Scanned once, then cached —
-  /// callers must treat the matrix as immutable after the first query.
-  bool unit_values() const;
-
-  /// Internal cache for unit_values(): -1 unknown, else 0/1.
-  mutable std::int8_t unit_values_cache = -1;
 };
 
 /// Compressed-sparse-row matrix.
@@ -58,7 +51,9 @@ struct Csr {
   index_t nnz() const { return static_cast<index_t>(values.size()); }
   index_t row_nnz(index_t r) const { return row_ptr[r + 1] - row_ptr[r]; }
 
-  /// True when every stored coefficient is ±1 (see Coo::unit_values).
+  /// True when every stored coefficient is ±1 (the incidence-matrix
+  /// property the SpMM kernels exploit). Scanned once, then cached —
+  /// callers must treat the matrix as immutable after the first query.
   bool unit_values() const;
 
   /// Aᵀ in CSR form, built lazily on first use and cached, so a matrix that
@@ -80,8 +75,8 @@ Csr coo_to_csr(const Coo& coo);
 Coo csr_to_coo(const Csr& csr);
 
 /// Explicit transpose in CSR form (counting sort over columns). The SpMM
-/// backward pass normally avoids this by scattering (Appendix G), but the
-/// explicit transpose is useful for tests and the two-pass ablation.
+/// backward either scatters without it (Appendix G) or reuses the cached
+/// Csr::transposed(); the free function also serves the tests' reference.
 Csr transpose(const Csr& a);
 
 /// Dense rendering for tests.

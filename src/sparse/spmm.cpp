@@ -1,7 +1,6 @@
 #include "src/sparse/spmm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -26,10 +25,6 @@ namespace {
 // reflects that: 1 FLOP per (nonzero × column) for unit-valued matrices,
 // 2 otherwise. The ±1 scan itself is cached on the matrix.
 std::int64_t spmm_flops(const Csr& a, index_t dim) {
-  return (a.unit_values() ? 1 : 2) * a.nnz() * dim;
-}
-
-std::int64_t spmm_flops(const Coo& a, index_t dim) {
   return (a.unit_values() ? 1 : 2) * a.nnz() * dim;
 }
 
@@ -316,43 +311,6 @@ __attribute__((target("avx2,fma"))) void rows_panel_avx2(
 #undef SPTX_STORE
 }
 
-// COO scatter with a vectorized axpy per nonzero (±1 entries skip the
-// multiply). Entries may target any row, so this stays serial.
-__attribute__((target("avx2,fma"))) void coo_scatter_avx2(const Coo& a,
-                                                          const Matrix& x,
-                                                          Matrix& c,
-                                                          bool unit) {
-  const index_t d = x.cols();
-  for (index_t k = 0; k < a.nnz(); ++k) {
-    const float v = a.values[static_cast<std::size_t>(k)];
-    const float* xrow = x.row(a.col_idx[static_cast<std::size_t>(k)]);
-    float* crow = c.row(a.row_idx[static_cast<std::size_t>(k)]);
-    index_t j = 0;
-    if (unit) {
-      if (v > 0.0f) {
-        for (; j + 8 <= d; j += 8) {
-          _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j),
-                                                   _mm256_loadu_ps(xrow + j)));
-        }
-      } else {
-        for (; j + 8 <= d; j += 8) {
-          _mm256_storeu_ps(crow + j, _mm256_sub_ps(_mm256_loadu_ps(crow + j),
-                                                   _mm256_loadu_ps(xrow + j)));
-        }
-      }
-      for (; j < d; ++j) crow[j] += v > 0.0f ? xrow[j] : -xrow[j];
-    } else {
-      const __m256 vv = _mm256_set1_ps(v);
-      for (; j + 8 <= d; j += 8) {
-        _mm256_storeu_ps(crow + j,
-                         _mm256_fmadd_ps(_mm256_loadu_ps(xrow + j), vv,
-                                         _mm256_loadu_ps(crow + j)));
-      }
-      for (; j < d; ++j) crow[j] += v * xrow[j];
-    }
-  }
-}
-
 #endif  // SPTX_SPMM_X86
 
 // Dispatch for a row range × column panel: AVX2 when the cpu allows it,
@@ -370,14 +328,11 @@ void rows_simd(const Csr& a, const Matrix& x, Matrix& c, index_t i0,
   rows_panel_scalar(a, x, c, i0, i1, j0, j1, accumulate);
 }
 
-void kernel_simd(const Csr& a, const Matrix& x, Matrix& c) {
-  rows_simd(a, x, c, 0, a.rows, 0, x.cols(), /*accumulate=*/false);
-}
-
-// Combined kernel: dynamic parallel over row blocks, column panels inside a
-// block (keeps a block's CSR metadata and the touched X panels cache-hot),
-// SIMD inner loop.
-void kernel_tiled_parallel(const Csr& a, const Matrix& x, Matrix& c) {
+// Parallel forward: dynamic parallel over row blocks, column panels inside
+// a block (keeps a block's CSR metadata and the touched X panels cache-hot),
+// SIMD inner loop. Panels start on 512-float boundaries, so every column
+// runs the same 16/8/scalar loop split as in the serial pass.
+void rows_parallel(const Csr& a, const Matrix& x, Matrix& c) {
   constexpr index_t kRowBlock = 128;
   constexpr index_t kPanel = 512;  // floats per panel (2 KiB)
   const index_t d = x.cols();
@@ -455,36 +410,11 @@ std::vector<PanelTask> balance_by_nnz(const Csr& at, index_t d, int lanes) {
   return tasks;
 }
 
-// ---- kAuto ---------------------------------------------------------------
-
-// Work (nnz·d) below which spawning a parallel region costs more than it
-// saves; measured on the ablation bench's small end.
-constexpr std::int64_t kParallelMinWork = 1 << 18;
-
-SpmmKernel parse_kernel_name(const std::string& s) {
-  if (s == "naive") return SpmmKernel::kNaive;
-  if (s == "simd") return SpmmKernel::kSimd;
-  if (s == "tiled_parallel") return SpmmKernel::kTiledParallel;
-  return SpmmKernel::kAuto;  // unknown names fall through to the heuristic
-}
-
 }  // namespace
 
-SpmmKernel spmm_auto_kernel(const Csr& a, index_t dim) {
-  // SPTX_SPMM_KERNEL (registry knob, case-insensitive) forces a kernel.
-  // hot() is pre-lowercased and pre-resolved at snapshot build time.
-  const SpmmKernel forced =
-      parse_kernel_name(config::current()->hot().spmm_kernel);
-  if (forced != SpmmKernel::kAuto) return forced;
-  const std::int64_t work = a.nnz() * dim;
-  const bool parallel_pays =
-      runtime::num_threads() > 1 && work >= kParallelMinWork;
-  // Both kernels run their scalar mirror without AVX2+FMA.
-  return parallel_pays ? SpmmKernel::kTiledParallel : SpmmKernel::kSimd;
-}
+// ---- Entry points ---------------------------------------------------------
 
-void spmm_csr_into(const Csr& a, const Matrix& x, Matrix& c,
-                   SpmmKernel kernel) {
+void spmm_csr_into(const Csr& a, const Matrix& x, Matrix& c) {
   SPTX_CHECK(x.rows() == a.cols,
              "spmm: A is " << a.rows << "x" << a.cols << ", X is "
                            << x.shape_str());
@@ -492,57 +422,28 @@ void spmm_csr_into(const Csr& a, const Matrix& x, Matrix& c,
              "spmm: output shape " << c.shape_str());
   profiling::ScopedHotspot hotspot("sptx::spmm_csr");
   profiling::count_flops(spmm_flops(a, x.cols()));
-  if (kernel == SpmmKernel::kAuto) kernel = spmm_auto_kernel(a, x.cols());
-  switch (kernel) {
-    case SpmmKernel::kNaive:
-      kernel_naive(a, x, c);
-      break;
-    case SpmmKernel::kSimd:
-      kernel_simd(a, x, c);
-      break;
-    case SpmmKernel::kTiledParallel:
-      kernel_tiled_parallel(a, x, c);
-      break;
-    case SpmmKernel::kAuto:  // resolved above
-      kernel_simd(a, x, c);
-      break;
+  // Without AVX2+FMA (or with SPTX_NO_SIMD) both loops run the scalar
+  // mirror.
+  const std::int64_t work = a.nnz() * x.cols();
+  if (runtime::num_threads() > 1 && work >= kSpmmParallelMinWork) {
+    rows_parallel(a, x, c);
+  } else {
+    rows_simd(a, x, c, 0, a.rows, 0, x.cols(), /*accumulate=*/false);
   }
 }
 
-Matrix spmm_csr(const Csr& a, const Matrix& x, SpmmKernel kernel) {
-  // Every kernel writes every output element, so the zero-fill is skipped.
+Matrix spmm_csr(const Csr& a, const Matrix& x) {
   Matrix c = Matrix::uninitialized(a.rows, x.cols());
-  spmm_csr_into(a, x, c, kernel);
+  spmm_csr_into(a, x, c);
   return c;
 }
 
-void spmm_coo_into(const Coo& a, const Matrix& x, Matrix& c) {
+Matrix spmm_csr_reference(const Csr& a, const Matrix& x) {
   SPTX_CHECK(x.rows() == a.cols,
-             "spmm_coo: A is " << a.rows << "x" << a.cols << ", X is "
-                               << x.shape_str());
-  SPTX_CHECK(c.rows() == a.rows && c.cols() == x.cols(),
-             "spmm_coo: output shape " << c.shape_str());
-  profiling::ScopedHotspot hotspot("sptx::spmm_coo");
-  profiling::count_flops(spmm_flops(a, x.cols()));
-  c.zero();
-  const index_t d = x.cols();
-#ifdef SPTX_SPMM_X86
-  if (simd_enabled()) {
-    coo_scatter_avx2(a, x, c, a.unit_values());
-    return;
-  }
-#endif
-  for (index_t k = 0; k < a.nnz(); ++k) {
-    const index_t r = a.row_idx[static_cast<std::size_t>(k)];
-    const float v = a.values[static_cast<std::size_t>(k)];
-    axpy_unrolled(v, x.row(a.col_idx[static_cast<std::size_t>(k)]), c.row(r),
-                  d);
-  }
-}
-
-Matrix spmm_coo(const Coo& a, const Matrix& x) {
-  Matrix c(a.rows, x.cols());
-  spmm_coo_into(a, x, c);
+             "spmm: A is " << a.rows << "x" << a.cols << ", X is "
+                           << x.shape_str());
+  Matrix c = Matrix::uninitialized(a.rows, x.cols());
+  kernel_naive(a, x, c);
   return c;
 }
 
@@ -556,13 +457,8 @@ bool spmm_backward_uses_transpose(const Csr& a, index_t dim) {
   // heuristic stays conservative so uncached callers never pay a full-table
   // transpose to replace a few thousand axpys.
   const std::int64_t work = a.nnz() * dim;
-  bool use_transpose = runtime::num_threads() > 1 && work >= kParallelMinWork / 8 &&
-                       work >= 8 * (a.nnz() + a.cols);
-  const auto snapshot = config::current();  // copy: keeps `forced` alive
-  const std::string& forced = snapshot->hot().spmm_backward;
-  if (forced == "scatter") use_transpose = false;
-  if (forced == "transpose") use_transpose = true;
-  return use_transpose;
+  return runtime::num_threads() > 1 && work >= kSpmmParallelMinWork / 8 &&
+         work >= 8 * (a.nnz() + a.cols);
 }
 
 void spmm_csr_transposed_accumulate(const Csr& a, const Matrix& g,
@@ -604,11 +500,6 @@ void spmm_csr_transposed_accumulate(const Csr& a, const Matrix& g,
                  a.values[static_cast<std::size_t>(k)], d, vec);
     }
   }
-}
-
-Matrix spmm_csr_transposed_explicit(const Csr& a, const Matrix& g) {
-  const Csr at = transpose(a);
-  return spmm_csr(at, g);
 }
 
 }  // namespace sptx

@@ -120,8 +120,8 @@ struct TrainResult {
   std::string last_checkpoint;
 };
 
-/// Apply the registry's training overrides (SPTX_PLAN_CACHE, SPTX_PREFETCH)
-/// to `config`. Knobs left unset in the snapshot keep the config's fields.
+/// Apply the registry's training overrides (SPTX_PREFETCH,
+/// SPTX_CHECKPOINT_EVERY, SPTX_CHECKPOINT_KEEP) to `config`. Knobs left unset in the snapshot keep the config's fields.
 TrainConfig resolve(const TrainConfig& config, const RuntimeConfig& rc);
 
 /// Train `model` on `data` per `config`. The callback (optional) fires after

@@ -223,11 +223,11 @@ TEST(EngineFreeze, SessionsAreIsolatedFromFurtherTraining) {
 TEST(EngineConfig, OverridesAreValidatedAndVisible) {
   Engine::Options options;
   options.config_overrides = {{"SPTX_PREFETCH", "0"},
-                              {"SPTX_SPMM_KERNEL", "naive"}};
+                              {"SPTX_FUSED", "off"}};
   options.install_process_config = false;
   Engine engine(options);
   EXPECT_FALSE(engine.config().flag_or("SPTX_PREFETCH", true));
-  EXPECT_EQ(engine.config().value_or("SPTX_SPMM_KERNEL", ""), "naive");
+  EXPECT_EQ(engine.config().value_or("SPTX_FUSED", ""), "off");
   EXPECT_EQ(engine.config().origin("SPTX_PREFETCH"),
             ConfigOrigin::kOverride);
 

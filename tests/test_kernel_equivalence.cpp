@@ -1,19 +1,23 @@
-// Kernel-equivalence suite: every forward SpMM kernel (naive / simd /
-// tiled_parallel / auto) and both backward paths
-// (direct scatter, cached-transpose gather) must agree within 1e-5 on
-// randomized inputs — including empty rows, dims not divisible by the SIMD
-// width, single-row matrices, and ±1-only incidence matrices that take the
-// fused register paths. CMake registers this binary twice: once as-is and
-// once with SPTX_NO_SIMD=1 so both sides of the runtime cpuid dispatch are
+// Kernel-equivalence suite: the forward SpMM entry point must equal the
+// reference loop, and both backward paths (direct scatter, cached-transpose
+// gather) the reference over an explicit transpose, on randomized inputs —
+// including empty rows, dims not divisible by the SIMD width, single-row
+// matrices, and ±1-only incidence matrices that take the fused register
+// paths. The entry points choose their loops from the pool width and the
+// work nnz·d, so the tests reach each loop by resizing the pool
+// (TaskPool::resize) and by shape, never by naming a kernel. On ±1
+// matrices every loop adds each element's terms in the same order, so
+// those comparisons are bit for bit. CMake registers this binary three
+// times: as-is, with SPTX_NO_SIMD=1 (the scalar mirror) and at
+// SPTX_RUNTIME_THREADS=4, so both sides of the runtime cpuid dispatch are
 // covered on one machine.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
-#include "src/common/cpu_features.hpp"
 #include "src/common/rng.hpp"
+#include "src/profiling/counters.hpp"
 #include "src/runtime/task_pool.hpp"
 #include "src/sparse/incidence.hpp"
 #include "src/sparse/spmm.hpp"
@@ -23,14 +27,28 @@ namespace {
 
 constexpr float kTol = 1e-5f;
 
-const std::vector<SpmmKernel>& all_kernels() {
-  static const std::vector<SpmmKernel> kernels = {
-      SpmmKernel::kNaive,
-      SpmmKernel::kSimd,
-      SpmmKernel::kTiledParallel,
-      SpmmKernel::kAuto,
-  };
-  return kernels;
+/// The pool widths the entry points dispatch on: one lane (serial loops)
+/// and four (parallel loops, once the work clears the thresholds).
+constexpr int kWidths[] = {1, 4};
+
+/// Resizes the shared pool for one scope, restoring the old width after.
+class ScopedPoolWidth {
+ public:
+  explicit ScopedPoolWidth(int width)
+      : before_(runtime::TaskPool::instance().threads()) {
+    runtime::TaskPool::instance().resize(width);
+  }
+  ~ScopedPoolWidth() { runtime::TaskPool::instance().resize(before_); }
+  ScopedPoolWidth(const ScopedPoolWidth&) = delete;
+  ScopedPoolWidth& operator=(const ScopedPoolWidth&) = delete;
+
+ private:
+  int before_;
+};
+
+bool bits_equal(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.bytes()) == 0);
 }
 
 // Random CSR with controllable row occupancy: `fill` is the chance a row
@@ -92,48 +110,111 @@ const std::vector<Shape>& shapes() {
   return s;
 }
 
-TEST(KernelEquivalence, AllForwardKernelsMatchDenseReference) {
-  int seed = 100;
-  for (const Shape& sh : shapes()) {
-    for (bool unit : {true, false}) {
-      Rng rng(static_cast<std::uint64_t>(seed++));
-      const Csr a =
-          random_csr(sh.rows, sh.cols, sh.max_row_nnz, sh.fill, unit, rng);
-      const Matrix x = random_dense(sh.cols, sh.dim, rng);
-      const Matrix want = reference_spmm(a, x);
-      for (SpmmKernel k : all_kernels()) {
-        const Matrix got = spmm_csr(a, x, k);
-        EXPECT_LT(max_abs_diff(got, want), kTol)
-            << "kernel " << static_cast<int>(k) << " rows=" << sh.rows
-            << " dim=" << sh.dim << " unit=" << unit;
+TEST(KernelEquivalence, ForwardMatchesDenseReferenceAtEveryWidth) {
+  for (int width : kWidths) {
+    const ScopedPoolWidth pool(width);
+    int seed = 100;
+    for (const Shape& sh : shapes()) {
+      for (bool unit : {true, false}) {
+        Rng rng(static_cast<std::uint64_t>(seed++));
+        const Csr a =
+            random_csr(sh.rows, sh.cols, sh.max_row_nnz, sh.fill, unit, rng);
+        const Matrix x = random_dense(sh.cols, sh.dim, rng);
+        const Matrix want = reference_spmm(a, x);
+        const Matrix got = spmm_csr(a, x);
+        const std::string where = "width=" + std::to_string(width) +
+                                  " rows=" + std::to_string(sh.rows) +
+                                  " dim=" + std::to_string(sh.dim) +
+                                  " unit=" + std::to_string(unit);
+        EXPECT_LT(max_abs_diff(got, want), kTol) << where;
+        EXPECT_LT(max_abs_diff(spmm_csr_reference(a, x), want), kTol)
+            << where;
+        if (unit) {
+          EXPECT_TRUE(bits_equal(got, spmm_csr_reference(a, x))) << where;
+        }
       }
-      Matrix coo_out = spmm_coo(csr_to_coo(a), x);
-      EXPECT_LT(max_abs_diff(coo_out, want), kTol);
     }
   }
 }
 
+// Shapes on both sides of kSpmmParallelMinWork, with empty rows and dims
+// that leave 16-, 8- and scalar-loop tails. At width 1 everything runs the
+// serial pass; at width 4 the large shapes run the pool row blocks. On ±1
+// matrices both equal the reference bit for bit; on general values the two
+// loops still equal each other bit for bit (same kernel, same order).
+TEST(KernelEquivalence, ForwardIsBitIdenticalOnBothSidesOfParallelThreshold) {
+  struct Case {
+    index_t rows, cols, max_row_nnz, dim;
+    double fill;
+  };
+  const std::vector<Case> cases = {
+      {40, 30, 3, 7, 0.6},        // tiny, d < 8
+      {200, 90, 4, 33, 0.5},      // below, 16+16+1 tail
+      {6000, 700, 4, 44, 0.7},    // above, 16+16+8+4 tail
+      {5000, 900, 3, 128, 0.5},   // above, training dim
+      {2048, 513, 6, 600, 0.8},   // above, two column panels (512 + 88)
+  };
+  int seed = 300;
+  bool below = false, above = false;
+  for (const Case& c : cases) {
+    for (bool unit : {true, false}) {
+      Rng rng(static_cast<std::uint64_t>(seed++));
+      const Csr a =
+          random_csr(c.rows, c.cols, c.max_row_nnz, c.fill, unit, rng);
+      const Matrix x = random_dense(c.cols, c.dim, rng);
+      const bool parallel_work = a.nnz() * c.dim >= kSpmmParallelMinWork;
+      (parallel_work ? above : below) = true;
+      const Matrix want = spmm_csr_reference(a, x);
+      std::vector<Matrix> got;
+      for (int width : kWidths) {
+        const ScopedPoolWidth pool(width);
+        const profiling::CounterWindow regions(
+            profiling::Counter::kRuntimeParallelRegions);
+        got.push_back(spmm_csr(a, x));
+        const std::string where = "width=" + std::to_string(width) +
+                                  " rows=" + std::to_string(c.rows) +
+                                  " dim=" + std::to_string(c.dim) +
+                                  " unit=" + std::to_string(unit);
+        EXPECT_EQ(regions.elapsed() > 0, width > 1 && parallel_work) << where;
+        if (unit) {
+          EXPECT_TRUE(bits_equal(got.back(), want)) << where;
+        } else {
+          EXPECT_LT(max_abs_diff(got.back(), want), 1e-4f) << where;
+        }
+      }
+      EXPECT_TRUE(bits_equal(got.front(), got.back()))
+          << "serial and parallel loops differ, rows=" << c.rows
+          << " dim=" << c.dim << " unit=" << unit;
+    }
+  }
+  EXPECT_TRUE(below && above) << "cases must straddle kSpmmParallelMinWork";
+}
+
 TEST(KernelEquivalence, IntoVariantOverwritesStaleOutput) {
-  Rng rng(7);
-  const Csr a = random_csr(23, 17, 5, 0.5, true, rng);
-  const Matrix x = random_dense(17, 19, rng);
-  const Matrix want = reference_spmm(a, x);
-  for (SpmmKernel k : all_kernels()) {
-    Matrix out(23, 19);
-    out.fill(321.0f);
-    spmm_csr_into(a, x, out, k);
-    EXPECT_LT(max_abs_diff(out, want), kTol)
-        << "kernel " << static_cast<int>(k);
+  for (int width : kWidths) {
+    const ScopedPoolWidth pool(width);
+    // 23 x 19 stays serial; 2000 x 200 runs the pool row blocks at width 4.
+    for (index_t rows : {23, 2000}) {
+      Rng rng(static_cast<std::uint64_t>(7 + rows));
+      const index_t d = rows == 23 ? 19 : 200;
+      const Csr a = random_csr(rows, 17, 5, 0.5, true, rng);
+      const Matrix x = random_dense(17, d, rng);
+      Matrix out(rows, d);
+      out.fill(321.0f);
+      spmm_csr_into(a, x, out);
+      EXPECT_TRUE(bits_equal(out, spmm_csr_reference(a, x)))
+          << "width=" << width << " rows=" << rows;
+    }
   }
 }
 
 // The incidence builders produce the 3/2/1-nnz rows the fused register
-// paths specialise; check them against the dense reference end to end.
+// paths specialise; check them against the reference end to end.
 TEST(KernelEquivalence, IncidenceShapesTakeFusedPathsCorrectly) {
   Rng rng(11);
-  const index_t n = 30, r = 5, d = 24;
+  const index_t n = 3000, r = 5, d = 24;
   std::vector<Triplet> batch;
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 12000; ++i) {
     batch.push_back({static_cast<std::int64_t>(rng.next_below(n)),
                      static_cast<std::int64_t>(rng.next_below(r)),
                      static_cast<std::int64_t>(rng.next_below(n))});
@@ -145,41 +226,51 @@ TEST(KernelEquivalence, IncidenceShapesTakeFusedPathsCorrectly) {
   const Csr ht = build_ht_incidence_csr(batch, n);        // 2 nnz/row
   const Csr sel =
       build_entity_selection_csr(batch, n, TripletSlot::kHead);  // 1 nnz/row
-  for (SpmmKernel k : all_kernels()) {
-    EXPECT_LT(max_abs_diff(spmm_csr(hrt, e, k), reference_spmm(hrt, e)), kTol);
-    EXPECT_LT(max_abs_diff(spmm_csr(ht, en, k), reference_spmm(ht, en)), kTol);
-    EXPECT_LT(max_abs_diff(spmm_csr(sel, en, k), reference_spmm(sel, en)),
-              kTol);
+  for (int width : kWidths) {
+    const ScopedPoolWidth pool(width);
+    EXPECT_TRUE(bits_equal(spmm_csr(hrt, e), spmm_csr_reference(hrt, e)));
+    EXPECT_TRUE(bits_equal(spmm_csr(ht, en), spmm_csr_reference(ht, en)));
+    EXPECT_TRUE(bits_equal(spmm_csr(sel, en), spmm_csr_reference(sel, en)));
+    EXPECT_LT(max_abs_diff(spmm_csr(hrt, e), reference_spmm(hrt, e)), kTol);
   }
 }
 
 TEST(KernelEquivalence, BothBackwardPathsAgreeWithDenseTranspose) {
-  int seed = 500;
-  for (const Shape& sh : shapes()) {
-    Rng rng(static_cast<std::uint64_t>(seed++));
-    const Csr a =
-        random_csr(sh.rows, sh.cols, sh.max_row_nnz, sh.fill, true, rng);
-    const Matrix g = random_dense(sh.rows, sh.dim, rng);
-    const Matrix want = matmul_tn(to_dense(a), g);
-    for (const char* mode : {"scatter", "transpose"}) {
-      // Registry override (setenv would be a no-op: the process snapshot is
-      // latched at first use).
-      config::ScopedOverride force("SPTX_SPMM_BACKWARD", mode);
-      EXPECT_EQ(spmm_backward_uses_transpose(a, sh.dim),
-                std::string_view(mode) == "transpose")
-          << "override not honoured for " << mode;
+  // The listed shapes stay on the scatter; the last one is big enough for
+  // the gather at width 4.
+  std::vector<Shape> all = shapes();
+  all.push_back({2000, 300, 4, 64, 0.7});
+  bool scattered = false, gathered = false;
+  for (int width : kWidths) {
+    const ScopedPoolWidth pool(width);
+    int seed = 500;
+    for (const Shape& sh : all) {
+      Rng rng(static_cast<std::uint64_t>(seed++));
+      const Csr a =
+          random_csr(sh.rows, sh.cols, sh.max_row_nnz, sh.fill, true, rng);
+      const Matrix g = random_dense(sh.rows, sh.dim, rng);
+      const Matrix want = matmul_tn(to_dense(a), g);
+      const bool gather = spmm_backward_uses_transpose(a, sh.dim);
+      (gather ? gathered : scattered) = true;
+      if (width == 1) {
+        EXPECT_FALSE(gather) << "one lane must scatter";
+      }
+      const std::string where = "width=" + std::to_string(width) +
+                                " rows=" + std::to_string(sh.rows) +
+                                (gather ? " gather" : " scatter");
       Matrix dx(sh.cols, sh.dim);
       spmm_csr_transposed_accumulate(a, g, dx);
-      EXPECT_LT(max_abs_diff(dx, want), kTol)
-          << "backward mode " << mode << " rows=" << sh.rows;
+      EXPECT_LT(max_abs_diff(dx, want), kTol) << where;
+      EXPECT_TRUE(bits_equal(dx, spmm_csr_reference(transpose(a), g)))
+          << where;
       // Accumulation: a second call doubles the gradient.
       spmm_csr_transposed_accumulate(a, g, dx);
       Matrix doubled = want;
       doubled.scale_(2.0f);
-      EXPECT_LT(max_abs_diff(dx, doubled), kTol);
+      EXPECT_LT(max_abs_diff(dx, doubled), kTol) << where;
     }
-    EXPECT_LT(max_abs_diff(spmm_csr_transposed_explicit(a, g), want), kTol);
   }
+  EXPECT_TRUE(scattered && gathered) << "both backward paths must run";
 }
 
 // ---- nnz-balanced transposed backward ------------------------------------
@@ -188,12 +279,7 @@ TEST(KernelEquivalence, BothBackwardPathsAgreeWithDenseTranspose) {
 // a heavy Aᵀ row into column panels. That may move work between lanes but
 // not change one bit: on ±1 matrices every path adds each dX element's
 // terms in the same order, so the balanced gather equals the serial scatter
-// and kNaive over an explicit transpose exactly.
-
-bool bits_equal(const Matrix& a, const Matrix& b) {
-  return a.same_shape(b) &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.bytes()) == 0);
-}
+// and the reference over an explicit transpose exactly.
 
 // hrt incidence of `m` random triples over `n` entities and 3 relations,
 // with relation 0 on ~60% of the triples: Aᵀ's row for relation 0 holds
@@ -214,100 +300,76 @@ Csr skewed_hrt(index_t m, index_t n, Rng& rng) {
 }
 
 TEST(KernelEquivalence, BalancedBackwardIsBitIdenticalToScatterAndNaive) {
-  auto& pool = runtime::TaskPool::instance();
-  const int width_before = pool.threads();
   int seed = 900;
-  for (int width : {1, 4}) {
-    pool.resize(width);
-    for (index_t d : {8, 20, 100, 128}) {
-      std::vector<Csr> cases;
-      for (index_t m : {0, 1, 300, 6000}) {
-        Rng rng(static_cast<std::uint64_t>(seed++));
-        cases.push_back(skewed_hrt(m, 500, rng));
+  std::int64_t gathered = 0;
+  for (index_t d : {8, 20, 100, 128}) {
+    std::vector<Csr> cases;
+    for (index_t m : {0, 1, 300, 6000}) {
+      Rng rng(static_cast<std::uint64_t>(seed++));
+      cases.push_back(skewed_hrt(m, 500, rng));
+    }
+    {
+      // A general ±1 matrix whose column 3 is far heavier than the rest.
+      Rng rng(static_cast<std::uint64_t>(seed++));
+      Csr a = random_csr(4000, 64, 4, 0.8, true, rng);
+      for (index_t& c : a.col_idx) {
+        if (rng.next_float() < 0.5f) c = 3;
       }
-      {
-        // A general ±1 matrix whose column 3 is far heavier than the rest.
-        Rng rng(static_cast<std::uint64_t>(seed++));
-        Csr a = random_csr(4000, 64, 4, 0.8, true, rng);
-        for (index_t& c : a.col_idx) {
-          if (rng.next_float() < 0.5f) c = 3;
+      cases.push_back(std::move(a));
+    }
+    for (const Csr& a : cases) {
+      Rng rng(static_cast<std::uint64_t>(seed++));
+      const Matrix g = random_dense(a.rows, d, rng);
+      const Matrix start = random_dense(a.cols, d, rng);
+      const Matrix naive = spmm_csr_reference(transpose(a), g);
+      for (bool from_zero : {true, false}) {
+        const Matrix init = from_zero ? Matrix(a.cols, d) : start;
+        // Width 1 always scatters; width 4 gathers once the work clears
+        // the heuristic's thresholds.
+        Matrix scatter = init;
+        {
+          const ScopedPoolWidth pool(1);
+          ASSERT_FALSE(spmm_backward_uses_transpose(a, d));
+          spmm_csr_transposed_accumulate(a, g, scatter);
         }
-        cases.push_back(std::move(a));
-      }
-      for (const Csr& a : cases) {
-        const std::string where = "width=" + std::to_string(width) +
-                                  " d=" + std::to_string(d) +
-                                  " rows=" + std::to_string(a.rows);
-        Rng rng(static_cast<std::uint64_t>(seed++));
-        const Matrix g = random_dense(a.rows, d, rng);
-        const Matrix start = random_dense(a.cols, d, rng);
-        const Matrix naive = spmm_csr(transpose(a), g, SpmmKernel::kNaive);
-        for (bool from_zero : {true, false}) {
-          Matrix scatter = from_zero ? Matrix(a.cols, d) : start;
-          Matrix balanced = scatter;
-          {
-            config::ScopedOverride force("SPTX_SPMM_BACKWARD", "scatter");
-            spmm_csr_transposed_accumulate(a, g, scatter);
-          }
-          {
-            config::ScopedOverride force("SPTX_SPMM_BACKWARD", "transpose");
-            spmm_csr_transposed_accumulate(a, g, balanced);
-          }
-          EXPECT_TRUE(bits_equal(balanced, scatter)) << where;
-          if (from_zero) {
-            EXPECT_TRUE(bits_equal(balanced, naive)) << where;
-          }
+        Matrix wide = init;
+        bool gather = false;
+        {
+          const ScopedPoolWidth pool(4);
+          gather = spmm_backward_uses_transpose(a, d);
+          spmm_csr_transposed_accumulate(a, g, wide);
+        }
+        gathered += gather ? 1 : 0;
+        const std::string where = "d=" + std::to_string(d) +
+                                  " rows=" + std::to_string(a.rows) +
+                                  (gather ? " gather" : " scatter");
+        EXPECT_TRUE(bits_equal(wide, scatter)) << where;
+        if (from_zero) {
+          EXPECT_TRUE(bits_equal(wide, naive)) << where;
         }
       }
     }
   }
-  pool.resize(width_before);
+  // The heavy cases (m = 6000 at d >= 20, m = 300 at d >= 100, the skewed
+  // general matrix at d >= 20) must have exercised the balanced gather.
+  EXPECT_GE(gathered, 16);
 }
 
-TEST(KernelEquivalence, AutoResolvesToConcreteKernel) {
+// The backward's dispatch reads only the pool width and the shape.
+TEST(KernelEquivalence, BackwardPathFollowsPoolWidthAndWork) {
   Rng rng(42);
   const Csr small = random_csr(4, 4, 2, 1.0, true, rng);
   const Csr big = random_csr(4096, 512, 8, 1.0, true, rng);
-  for (index_t dim : {8, 128, 1024}) {
-    EXPECT_NE(spmm_auto_kernel(small, dim), SpmmKernel::kAuto);
-    EXPECT_NE(spmm_auto_kernel(big, dim), SpmmKernel::kAuto);
-  }
-  // With or without SIMD the auto choice is one of the two engine kernels
-  // (without AVX2+FMA they run their scalar mirror); never the oracle.
-  for (index_t dim : {8, 128, 1024}) {
-    for (const Csr* a : {&small, &big}) {
-      const SpmmKernel k = spmm_auto_kernel(*a, dim);
-      EXPECT_TRUE(k == SpmmKernel::kSimd || k == SpmmKernel::kTiledParallel)
-          << "dim=" << dim << " kernel " << static_cast<int>(k);
+  for (index_t dim : {64, 128, 1024}) {
+    {
+      const ScopedPoolWidth pool(1);
+      EXPECT_FALSE(spmm_backward_uses_transpose(small, dim));
+      EXPECT_FALSE(spmm_backward_uses_transpose(big, dim));
     }
+    const ScopedPoolWidth pool(4);
+    EXPECT_FALSE(spmm_backward_uses_transpose(small, dim));
+    EXPECT_TRUE(spmm_backward_uses_transpose(big, dim));
   }
-}
-
-TEST(KernelEquivalence, AutoEnvOverrideForcesKernel) {
-  Rng rng(43);
-  const Csr a = random_csr(64, 32, 4, 0.8, true, rng);
-  // The dispatch consults the installed runtime-config snapshot: a
-  // programmatic override forces a kernel...
-  RuntimeConfig rc = RuntimeConfig::from_env();
-  rc.set("SPTX_SPMM_KERNEL", "simd");
-  config::install(rc);
-  EXPECT_EQ(spmm_auto_kernel(a, 128), SpmmKernel::kSimd);
-  rc.set("SPTX_SPMM_KERNEL", "NAIVE");  // flags/enums are case-insensitive
-  config::install(rc);
-  EXPECT_EQ(spmm_auto_kernel(a, 128), SpmmKernel::kNaive);
-  // ...an invalid name is rejected at set() time instead of being silently
-  // dropped...
-  EXPECT_THROW(rc.set("SPTX_SPMM_KERNEL", "not-a-kernel"), Error);
-  for (const char* removed : {"unrolled", "tiled", "parallel"}) {
-    EXPECT_THROW(rc.set("SPTX_SPMM_KERNEL", removed), Error) << removed;
-  }
-  // ...and the environment path works through a fresh snapshot.
-  setenv("SPTX_SPMM_KERNEL", "simd", 1);
-  config::install(RuntimeConfig::from_env());
-  EXPECT_EQ(spmm_auto_kernel(a, 128), SpmmKernel::kSimd);
-  unsetenv("SPTX_SPMM_KERNEL");
-  config::install(RuntimeConfig::from_env());
-  EXPECT_NE(spmm_auto_kernel(a, 128), SpmmKernel::kAuto);
 }
 
 TEST(KernelEquivalence, UnitValueCacheDetectsIncidence) {

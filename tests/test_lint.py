@@ -105,7 +105,9 @@ class EnvRegistryRule(unittest.TestCase):
 
     def test_flags_knob_missing_from_readme(self):
         registry = REGISTRY_CPP.replace(
-            '{"SPTX_FAULT_SPEC"', '{"SPTX_UNDOCUMENTED"')
+            '    {"SPTX_FAULT_SPEC"',
+            '    {"SPTX_UNDOCUMENTED", ConfigType::kFlag, "", "doc"},\n'
+            '    {"SPTX_FAULT_SPEC"')
         files = {"src/common/runtime_config.cpp": registry}
         with FixtureTree(files) as root:
             found = lint(root, "env-registry")
@@ -117,6 +119,21 @@ class EnvRegistryRule(unittest.TestCase):
         files = {"src/serve/session.cpp":
                  'auto v = cfg.flag_or("SPTX_PLAN_CACHE", false);\n'}
         with FixtureTree(files) as root:
+            self.assertEqual(lint(root, "env-registry"), [])
+
+    def test_flags_readme_table_row_for_unregistered_knob(self):
+        readme = README_MD + "| `SPTX_DELETED_KNOB=1` | nothing |\n"
+        with FixtureTree({"README.md": readme}) as root:
+            found = lint(root, "env-registry")
+        self.assertEqual(len(found), 1)
+        self.assertIn("SPTX_DELETED_KNOB", found[0])
+        self.assertTrue(found[0].startswith("README.md:"), found[0])
+
+    def test_readme_prose_may_name_cmake_options(self):
+        readme = (README_MD +
+                  "Configure with `-DSPTX_NATIVE=OFF` for portable builds.\n"
+                  "    cmake -B build -DSPTX_WERROR=OFF\n")
+        with FixtureTree({"README.md": readme}) as root:
             self.assertEqual(lint(root, "env-registry"), [])
 
 
@@ -289,8 +306,8 @@ class ConfigLifetimeRule(unittest.TestCase):
                  "const auto& rc = *config::current();\n"
                  "auto& slot = config::current();\n"
                  "const RuntimeConfig& cfg = *sptx::config::current();\n"
-                 "const std::string& k =\n"
-                 "    config::current()->hot().spmm_kernel;\n"}
+                 "const bool& off =\n"
+                 "    config::current()->hot().fused_off;\n"}
         with FixtureTree(files) as root:
             found = lint(root, "config-lifetime")
         self.assertEqual(len(found), 4)

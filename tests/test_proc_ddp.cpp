@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cerrno>
 #include <cstdio>
@@ -165,6 +166,11 @@ void expect_procs_match_threads(const std::string& family,
           << procs.epoch_loss[i] << " vs " << reference.epoch_loss[i];
     EXPECT_EQ(procs.workers, workers);
     EXPECT_EQ(procs.workers_lost, 0);
+    // The supervisor counts every shard frame a worker sent, so both
+    // executors report the same count (the decomposition is fixed).
+    EXPECT_GT(procs.shards_executed, 0);
+    EXPECT_EQ(procs.shards_executed, reference.shards_executed)
+        << family << " workers=" << workers;
   }
   expect_no_children();
 }
@@ -383,6 +389,25 @@ TEST(ProcDdp, CheckpointResumeMatchesUninterrupted) {
     EXPECT_EQ(bits(resumed.epoch_loss[i]), bits(full.epoch_loss[i]))
         << "epoch " << i;
   remove_rotations(base);
+  expect_no_children();
+}
+
+// A worker told to shut down must exit at once, not when its heartbeat
+// beacon next wakes: with a 30 s deadline the beacon sleeps 10 s, and the
+// supervisor would wait out its 2 s shutdown grace and SIGKILL the worker.
+TEST(ProcDdp, ShutdownDoesNotWaitForTheNextHeartbeat) {
+  ProcFixture fx;
+  auto dc = fx.config(2);
+  dc.epochs = 1;
+  dc.heartbeat_ms = 30'000;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto run =
+      distributed::train_ddp_procs(fx.spec("TransE"), fx.ds.train, dc);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_EQ(run.workers_lost, 0);
+  EXPECT_LT(seconds, 1.5) << "procs run waited on a sleeping heartbeat";
   expect_no_children();
 }
 

@@ -43,7 +43,7 @@ TEST(RuntimeConfigSpecs, TableIsSane) {
       EXPECT_NO_THROW(rc.set(spec.name, spec.default_value)) << spec.name;
     }
   }
-  EXPECT_TRUE(names.count("SPTX_SPMM_KERNEL"));
+  EXPECT_TRUE(names.count("SPTX_FUSED"));
   EXPECT_TRUE(names.count("SPTX_PREFETCH"));
   EXPECT_TRUE(names.count("SPTX_DDP_WORKERS"));
   EXPECT_TRUE(names.count("SPTX_SERVE_MICROBATCH"));
@@ -68,7 +68,7 @@ TEST(RuntimeConfig, TriStateKnobsKeepTheCallersFallback) {
   // Knobs with real defaults resolve to them.
   EXPECT_FALSE(rc.flag_or("SPTX_NO_SIMD", true));
   EXPECT_DOUBLE_EQ(rc.double_or("SPTX_SCALE", 0.5), 0.01);
-  EXPECT_EQ(rc.value_or("SPTX_SPMM_KERNEL", "x"), "auto");
+  EXPECT_EQ(rc.value_or("SPTX_FUSED", "x"), "auto");
 }
 
 TEST(RuntimeConfig, FromEnvSnapshotsCurrentEnvironment) {
@@ -88,26 +88,26 @@ TEST(RuntimeConfig, FromEnvSnapshotsCurrentEnvironment) {
 
 TEST(RuntimeConfig, MalformedEnvironmentValuesAreIgnored) {
   ::setenv("SPTX_DDP_WORKERS", "not-a-number", 1);
-  ::setenv("SPTX_SPMM_KERNEL", "not-a-kernel", 1);
+  ::setenv("SPTX_FUSED", "not-a-mode", 1);
   const RuntimeConfig rc = RuntimeConfig::from_env();
   ::unsetenv("SPTX_DDP_WORKERS");
-  ::unsetenv("SPTX_SPMM_KERNEL");
+  ::unsetenv("SPTX_FUSED");
   EXPECT_FALSE(rc.is_set("SPTX_DDP_WORKERS"));
   EXPECT_EQ(rc.int_or("SPTX_DDP_WORKERS", 3), 3);
-  EXPECT_EQ(rc.value_or("SPTX_SPMM_KERNEL", ""), "auto");
+  EXPECT_EQ(rc.value_or("SPTX_FUSED", ""), "auto");
 }
 
 TEST(RuntimeConfig, SetValidatesNameTypeAndChoices) {
   RuntimeConfig rc;
   EXPECT_THROW(rc.set("SPTX_NOT_A_KNOB", "1"), Error);
-  EXPECT_THROW(rc.set("SPTX_SPMM_KERNEL", "warp-speed"), Error);
+  EXPECT_THROW(rc.set("SPTX_FUSED", "warp-speed"), Error);
   EXPECT_THROW(rc.set("SPTX_DDP_WORKERS", "many"), Error);
-  rc.set("SPTX_SPMM_KERNEL", "TILED_PARALLEL");  // case-insensitive enum
-  EXPECT_EQ(rc.origin("SPTX_SPMM_KERNEL"), ConfigOrigin::kOverride);
-  EXPECT_EQ(to_lower(rc.value_or("SPTX_SPMM_KERNEL", "")), "tiled_parallel");
-  rc.clear("SPTX_SPMM_KERNEL");
-  EXPECT_EQ(rc.value_or("SPTX_SPMM_KERNEL", ""), "auto");
-  EXPECT_EQ(rc.origin("SPTX_SPMM_KERNEL"), ConfigOrigin::kDefault);
+  rc.set("SPTX_FUSED", "OFF");  // case-insensitive enum
+  EXPECT_EQ(rc.origin("SPTX_FUSED"), ConfigOrigin::kOverride);
+  EXPECT_EQ(to_lower(rc.value_or("SPTX_FUSED", "")), "off");
+  rc.clear("SPTX_FUSED");
+  EXPECT_EQ(rc.value_or("SPTX_FUSED", ""), "auto");
+  EXPECT_EQ(rc.origin("SPTX_FUSED"), ConfigOrigin::kDefault);
 }
 
 TEST(RuntimeConfig, TypedAccessorsRejectTypeMismatch) {

@@ -1,7 +1,9 @@
-// Tests for the SpMM kernels, including the Appendix G backward property.
+// Tests for the SpMM entry points, including the Appendix G backward
+// property.
 #include <gtest/gtest.h>
 
 #include "src/common/rng.hpp"
+#include "src/runtime/task_pool.hpp"
 #include "src/sparse/incidence.hpp"
 #include "src/sparse/spmm.hpp"
 
@@ -36,47 +38,49 @@ Matrix reference_spmm(const Csr& a, const Matrix& x) {
 struct SpmmCase {
   int seed;
   index_t rows, cols, nnz, dim;
-  SpmmKernel kernel;
 };
 
-class SpmmKernelTest : public ::testing::TestWithParam<SpmmCase> {};
+class SpmmTest : public ::testing::TestWithParam<SpmmCase> {};
 
-TEST_P(SpmmKernelTest, MatchesDenseReference) {
+// spmm_csr picks its loop from the pool width and nnz·d, so each case runs
+// at width 1 (serial pass) and width 4 (pool row blocks once nnz·d reaches
+// kSpmmParallelMinWork).
+TEST_P(SpmmTest, MatchesDenseReferenceAtEveryPoolWidth) {
   const SpmmCase c = GetParam();
   Rng rng(static_cast<std::uint64_t>(c.seed));
   const Csr a = coo_to_csr(random_coo(c.rows, c.cols, c.nnz, rng));
   const Matrix x = random_dense(c.cols, c.dim, rng);
-  const Matrix got = spmm_csr(a, x, c.kernel);
-  EXPECT_LT(max_abs_diff(got, reference_spmm(a, x)), 1e-4f);
+  const Matrix want = reference_spmm(a, x);
+  auto& pool = runtime::TaskPool::instance();
+  const int width_before = pool.threads();
+  for (int width : {1, 4}) {
+    pool.resize(width);
+    EXPECT_LT(max_abs_diff(spmm_csr(a, x), want), 1e-4f) << "width " << width;
+  }
+  pool.resize(width_before);
 }
 
-TEST_P(SpmmKernelTest, CooAgreesWithCsr) {
+TEST_P(SpmmTest, ReferenceMatchesDenseReference) {
   const SpmmCase c = GetParam();
   Rng rng(static_cast<std::uint64_t>(c.seed + 1000));
-  const Coo coo = random_coo(c.rows, c.cols, c.nnz, rng);
-  const Csr csr = coo_to_csr(coo);
+  const Csr a = coo_to_csr(random_coo(c.rows, c.cols, c.nnz, rng));
   const Matrix x = random_dense(c.cols, c.dim, rng);
-  EXPECT_LT(max_abs_diff(spmm_coo(coo, x), spmm_csr(csr, x, c.kernel)),
+  EXPECT_LT(max_abs_diff(spmm_csr_reference(a, x), reference_spmm(a, x)),
             1e-4f);
 }
 
 std::vector<SpmmCase> spmm_cases() {
-  std::vector<SpmmCase> cases;
-  int seed = 0;
-  for (SpmmKernel k :
-       {SpmmKernel::kNaive, SpmmKernel::kSimd, SpmmKernel::kTiledParallel,
-        SpmmKernel::kAuto}) {
-    cases.push_back({seed++, 1, 1, 1, 1, k});        // degenerate
-    cases.push_back({seed++, 16, 8, 40, 5, k});      // odd dim (tail loop)
-    cases.push_back({seed++, 16, 8, 40, 8, k});      // multiple of unroll
-    cases.push_back({seed++, 64, 32, 200, 33, k});   // tail + bigger
-    cases.push_back({seed++, 7, 100, 300, 16, k});   // wide, duplicates
-  }
-  return cases;
+  return {
+      {0, 1, 1, 1, 1},           // degenerate
+      {1, 16, 8, 40, 5},         // odd dim (tail loop)
+      {2, 16, 8, 40, 8},         // multiple of unroll
+      {3, 64, 32, 200, 33},      // tail + bigger
+      {4, 7, 100, 300, 16},      // wide, duplicates
+      {5, 512, 64, 4096, 72},    // nnz·d above kSpmmParallelMinWork
+  };
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, SpmmKernelTest,
-                         ::testing::ValuesIn(spmm_cases()));
+INSTANTIATE_TEST_SUITE_P(Shapes, SpmmTest, ::testing::ValuesIn(spmm_cases()));
 
 TEST(Spmm, ShapeMismatchThrows) {
   Rng rng(9);
@@ -99,13 +103,13 @@ TEST(Spmm, IntoVariantWritesCallerBuffer) {
 
 class SpmmBackwardTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(SpmmBackwardTest, ScatterAccumulateEqualsExplicitTranspose) {
+TEST_P(SpmmBackwardTest, AccumulateEqualsReferenceOverTranspose) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const Csr a = coo_to_csr(random_coo(20, 15, 60, rng));
   const Matrix g = random_dense(20, 9, rng);
   Matrix dx(15, 9);
   spmm_csr_transposed_accumulate(a, g, dx);
-  const Matrix expected = spmm_csr_transposed_explicit(a, g);
+  const Matrix expected = spmm_csr_reference(transpose(a), g);
   EXPECT_LT(max_abs_diff(dx, expected), 1e-4f);
 }
 
@@ -125,7 +129,7 @@ TEST_P(SpmmBackwardTest, AccumulateAddsOntoExisting) {
   Matrix dx(6, 3);
   dx.fill(1.0f);
   spmm_csr_transposed_accumulate(a, g, dx);
-  Matrix expected = spmm_csr_transposed_explicit(a, g);
+  Matrix expected = spmm_csr_reference(transpose(a), g);
   for (index_t i = 0; i < expected.size(); ++i)
     expected.data()[i] += 1.0f;
   EXPECT_LT(max_abs_diff(dx, expected), 1e-4f);

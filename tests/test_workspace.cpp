@@ -116,11 +116,13 @@ TEST(Workspace, NestedScopesDrainOnlyAtOutermostExit) {
   EXPECT_EQ(tracker.current(), live_before);
 }
 
-// spmm_csr takes its output uninitialised from the pool, relying on every
-// kernel to write every element. Poison the recycled buffer with NaN first:
-// any element a kernel skips (an empty row, a column tail, a panel edge)
-// would leak a NaN into the result and break the match with kNaive.
-TEST(Workspace, RecycledSpmmOutputIsFullyOverwrittenByEveryKernel) {
+// spmm_csr takes its output uninitialised from the pool, relying on both of
+// its loops (serial at width 1, pool row blocks at width 4 above
+// kSpmmParallelMinWork) to write every element. Poison the recycled buffer
+// with NaN first: any element a loop skips (an empty row, a column tail, a
+// panel edge) would leak a NaN into the result and break the match with the
+// reference, which takes the same poisoned buffer.
+TEST(Workspace, RecycledSpmmOutputIsFullyOverwritten) {
   Rng rng(31);
   const index_t n = 9000, r = 4;
   std::vector<Triplet> batch;
@@ -160,16 +162,16 @@ TEST(Workspace, RecycledSpmmOutputIsFullyOverwrittenByEveryKernel) {
       Matrix x(n + r, d);
       x.fill_uniform(rng, -1.0f, 1.0f);
       for (const Csr& a : matrices) {
-        const Matrix want = spmm_csr(a, x, SpmmKernel::kNaive);
+        const Matrix want = spmm_csr_reference(a, x);
         ScopedWorkspace ws;
-        for (SpmmKernel k : {SpmmKernel::kNaive, SpmmKernel::kSimd,
-                             SpmmKernel::kTiledParallel, SpmmKernel::kAuto}) {
+        for (bool reference : {true, false}) {
           {
             Matrix poison = Matrix::uninitialized(a.rows, d);
             poison.fill(std::numeric_limits<float>::quiet_NaN());
           }
           const std::int64_t hits = Workspace::instance().stats().hits;
-          const Matrix got = spmm_csr(a, x, k);
+          const Matrix got =
+              reference ? spmm_csr_reference(a, x) : spmm_csr(a, x);
           EXPECT_EQ(Workspace::instance().stats().hits, hits + 1)
               << "output did not come from the poisoned buffer";
           index_t mismatches = 0;
@@ -177,7 +179,7 @@ TEST(Workspace, RecycledSpmmOutputIsFullyOverwrittenByEveryKernel) {
             if (!(got.data()[i] == want.data()[i])) ++mismatches;
           }
           EXPECT_EQ(mismatches, 0)
-              << "kernel " << static_cast<int>(k) << " width=" << width
+              << (reference ? "reference" : "spmm_csr") << " width=" << width
               << " d=" << d << " rows=" << a.rows;
         }
       }

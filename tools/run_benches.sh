@@ -13,7 +13,8 @@
 #
 # Outputs (in out_dir, default repo root):
 #   BENCH_spmm.json      google-benchmark JSON for bench_ablation_kernels
-#                        (all forward kernels + both backward paths)
+#                        (reference loop, forward and backward entry
+#                        points at pool width 1 and 4)
 #   BENCH_hotspots.txt   bench_fig2_hotspots text artefact (dense-baseline
 #                        profile that motivates the sparse formulation)
 #   BENCH_pipeline.json  bench_pipeline: epoch-1 vs cached-epoch wall time
@@ -58,7 +59,7 @@ if [[ ! -x "$build_dir/bench_ablation_kernels" ]]; then
   echo "installed? Refusing to report a successful run with no kernel data." >&2
   exit 1
 else
-  echo "== SpMM kernel ablation -> $out_dir/BENCH_spmm.json"
+  echo "== SpMM ablation -> $out_dir/BENCH_spmm.json"
   "$build_dir/bench_ablation_kernels" \
     --benchmark_min_time="$min_time" \
     --benchmark_out="$out_dir/BENCH_spmm.json" \

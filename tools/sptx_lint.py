@@ -9,9 +9,11 @@ compiler enforces:
                   through the RuntimeConfig registry, so one snapshot
                   governs a whole run.
   env-registry    every "SPTX_*" string literal in src/ names a knob
-                  registered in the runtime_config.cpp table, and every
-                  registered knob is documented in README.md's env table —
-                  no phantom knobs, no undocumented knobs.
+                  registered in the runtime_config.cpp table, every
+                  registered knob is documented in README.md's env table,
+                  and every SPTX_* name in a README table row is registered
+                  — no phantom knobs, no undocumented knobs, no docs for
+                  deleted knobs.
   counter-names   every profiling::Counter enumerator has an index-aligned
                   entry in kCounterNames (the health surface and benches
                   print counters by these names).
@@ -217,6 +219,19 @@ class Linter:
                     registry_path, 1, "env-registry",
                     f"registered knob '{name}' is missing from README.md's "
                     "environment table")
+        # The reverse direction: a table row naming a knob the registry no
+        # longer has documents a setting that does nothing. Only table rows
+        # count; prose may name CMake options (SPTX_NATIVE, ...).
+        knob_word = re.compile(r"\bSPTX_[A-Z0-9_]+\b")
+        for lineno, line in enumerate(readme_text.splitlines(), 1):
+            if not line.lstrip().startswith("|"):
+                continue
+            for name in knob_word.findall(line):
+                if name not in knobs:
+                    self.report(
+                        readme, lineno, "env-registry",
+                        f"README.md table row names '{name}', which is not "
+                        "a registered knob — drop the row or register it")
 
     # -- rule: counter-names ------------------------------------------------
 
