@@ -10,7 +10,7 @@
 // through four configurations — {1 thread, N threads} × {coalescing off,
 // on} — and reports QPS plus the coalescing counters that explain it.
 // Top-k candidate queries are measured separately (they bypass the
-// micro-batcher and exercise the candidate-plan cache instead).
+// micro-batcher and scan every entity).
 //
 // Two further sections cover the clustered-ANN serving claims: an
 // entity-count sweep (10k/100k/1M) comparing brute-force top-k against the
@@ -49,7 +49,6 @@ struct ServeRow {
   std::int64_t coalesced = 0;    // requests that shared an execution
   double qps = 0.0;
   double topk_qps = 0.0;
-  std::int64_t plan_hits = 0;
 };
 
 constexpr std::size_t kQueryBatch = 8;     // triplets per score request
@@ -102,8 +101,8 @@ ServeRow run_load(Engine& engine, const kg::Dataset& ds, int threads,
   for (auto& t : pool) t.join();
   const double score_seconds = profiling::seconds_since(t0);
 
-  // Top-k pass: anchors cycle a small set so the candidate-plan cache
-  // engages the way repeated production queries would.
+  // Top-k pass: anchors cycle a small set, the way repeated production
+  // queries would.
   const auto t1 = profiling::clock::now();
   std::vector<std::thread> topk_pool;
   for (int w = 0; w < threads; ++w) {
@@ -132,7 +131,6 @@ ServeRow run_load(Engine& engine, const kg::Dataset& ds, int threads,
   row.coalesced = stats.batcher.coalesced_requests;
   row.qps = static_cast<double>(kRequests) * threads / score_seconds;
   row.topk_qps = static_cast<double>(kTopK) * threads / topk_seconds;
-  row.plan_hits = stats.plans.hits;
   return row;
 }
 
@@ -291,8 +289,7 @@ AnnSweepRow run_ann_sweep(index_t n) {
   std::shared_ptr<const models::KgeModel> frozen(std::move(model));
 
   // Both sessions serve the SAME frozen weights; only the candidate scan
-  // differs. Plan caching off — the sweep queries distinct anchors, so a
-  // cache would just stage N-triplet plans it never reuses.
+  // differs.
   serve::AnnIndexOptions ao;
   ao.iterations = 4;
   ao.train_points_per_list = 64;
@@ -302,12 +299,10 @@ AnnSweepRow run_ann_sweep(index_t n) {
   const double build_s = profiling::seconds_since(b0);
 
   serve::SessionOptions ann_so;
-  ann_so.plan_cache = false;
   ann_so.ann = serve::AnnMode::kOn;
   const auto ann_sess =
       std::make_shared<serve::InferenceSession>(snapshot, ann_so);
   serve::SessionOptions brute_so;
-  brute_so.plan_cache = false;
   brute_so.ann = serve::AnnMode::kOff;
   const auto brute_sess =
       std::make_shared<serve::InferenceSession>(frozen, brute_so);
@@ -534,12 +529,11 @@ int main() {
     std::printf("    {\"threads\": %d, \"micro_batch\": %s, "
                 "\"window_us\": %d, \"qps\": %.0f, \"topk_qps\": %.0f, "
                 "\"requests\": %lld, \"executions\": %lld, "
-                "\"coalesced\": %lld, \"plan_hits\": %lld}%s\n",
+                "\"coalesced\": %lld}%s\n",
                 r.threads, r.micro_batch ? "true" : "false", r.window_us,
                 r.qps, r.topk_qps, static_cast<long long>(r.requests),
                 static_cast<long long>(r.executions),
                 static_cast<long long>(r.coalesced),
-                static_cast<long long>(r.plan_hits),
                 i + 1 < rows.size() ? "," : "");
   }
   std::printf("  ],\n");

@@ -21,7 +21,7 @@ int main() {
   // 1. An Engine snapshots every SPTX_* knob once at construction;
   //    overrides are validated against the registry (a typo throws).
   Engine::Options options;
-  options.config_overrides = {{"SPTX_SERVE_PLAN_CACHE", "on"}};
+  options.config_overrides = {{"SPTX_SERVE_MICROBATCH", "on"}};
   Engine engine(options);
   std::printf("runtime config:\n%s\n", engine.config_json().c_str());
 
@@ -87,11 +87,10 @@ int main() {
   for (auto& t : workers) t.join();
   const auto stats = session->stats();
   std::printf("served %lld queries (%lld triplets, %lld scoring calls, "
-              "%lld coalesced, %lld plan hits)\n",
+              "%lld coalesced)\n",
               static_cast<long long>(stats.queries),
               static_cast<long long>(stats.triplets_scored),
               static_cast<long long>(stats.batcher.batches_executed),
-              static_cast<long long>(stats.batcher.coalesced_requests),
-              static_cast<long long>(stats.plans.hits));
+              static_cast<long long>(stats.batcher.coalesced_requests));
   return 0;
 }

@@ -108,8 +108,7 @@ class Engine {
                                    const distributed::DdpConfig& config = {});
 
   /// Filtered link prediction on `dataset.test` (eval::evaluate with the
-  /// engine's model; EvalConfig::plan_cache reuses staged candidate batches
-  /// across calls when the caller supplies a cache).
+  /// engine's model).
   eval::RankingMetrics evaluate(const kg::Dataset& dataset,
                                 const eval::EvalConfig& config = {});
 

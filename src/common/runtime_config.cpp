@@ -49,13 +49,6 @@ constexpr ConfigSpec kSpecs[] = {
     {"SPTX_SERVE_WINDOW_US", ConfigType::kInt, "",
      "Override SessionOptions::window_us: how long a micro-batch leader "
      "waits for followers before executing."},
-    {"SPTX_SERVE_PLAN_CACHE", ConfigType::kFlag, "",
-     "Override SessionOptions::plan_cache: cache staged top-k/rank "
-     "candidate batches per (side, anchor, relation)."},
-    {"SPTX_SERVE_MAX_PLANS", ConfigType::kInt, "",
-     "Override SessionOptions::max_cached_plans: resident-plan cap for the "
-     "per-session candidate cache (each plan stages num_entities "
-     "triplets)."},
     {"SPTX_SERVE_QUEUE_LIMIT", ConfigType::kInt, "",
      "Override SessionOptions::queue_limit: bounded micro-batch queue depth "
      "in triplets; arrivals beyond it are rejected with kQueueFull "

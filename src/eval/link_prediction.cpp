@@ -1,23 +1,13 @@
 #include "src/eval/link_prediction.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
+
+#include "src/eval/candidates.hpp"
 
 namespace sptx::eval {
 
 namespace {
-
-std::uint64_t key_of(std::int64_t h, std::int64_t r, std::int64_t t) {
-  return (static_cast<std::uint64_t>(h) << 42) ^
-         (static_cast<std::uint64_t>(r) << 21) ^ static_cast<std::uint64_t>(t);
-}
-
-void insert_all(std::unordered_set<std::uint64_t>& keys,
-                const TripletStore& store) {
-  for (const Triplet& t : store.triplets())
-    keys.insert(key_of(t.head, t.relation, t.tail));
-}
 
 struct RankAccumulator {
   double rr_sum = 0.0;
@@ -49,102 +39,51 @@ struct RankAccumulator {
   }
 };
 
-// Shared ranking walk: for every evaluated (test triplet, side) pair,
-// computes the filtered optimistic-average rank and hands it to `sink`
-// together with the triplet (so callers can bucket by relation).
-void rank_all(const models::KgeModel& model, const kg::Dataset& dataset,
-              const EvalConfig& config,
-              const std::function<void(const Triplet&, bool /*tail_side*/,
-                                       double /*rank*/)>& sink) {
-  const index_t n = dataset.num_entities();
-  std::unordered_set<std::uint64_t> known;
+}  // namespace
+
+void for_each_rank(
+    const models::KgeModel& model, const kg::Dataset& dataset,
+    const EvalConfig& config,
+    const std::function<void(const Triplet&, bool, double)>& sink) {
+  SPTX_CHECK(model.num_entities() == dataset.num_entities(),
+             "model has " << model.num_entities() << " entities, dataset "
+                          << dataset.num_entities());
+  KnownTriplets known;
   if (config.filtered) {
-    known.reserve(static_cast<std::size_t>(dataset.train.size() +
-                                           dataset.valid.size() +
-                                           dataset.test.size()) *
-                  2);
-    insert_all(known, dataset.train);
-    insert_all(known, dataset.valid);
-    insert_all(known, dataset.test);
+    known = KnownTriplets(
+        dataset.num_entities(), dataset.num_relations(),
+        static_cast<std::size_t>(dataset.train.size() + dataset.valid.size() +
+                                 dataset.test.size()));
+    known.add(dataset.train.triplets());
+    known.add(dataset.valid.triplets());
+    known.add(dataset.test.triplets());
   }
   const bool higher_better = model.higher_is_better();
-
-  std::int64_t query_budget =
-      config.max_queries > 0 ? config.max_queries : dataset.test.size();
-  std::vector<Triplet> local_candidates(static_cast<std::size_t>(n));
-
-  for (std::int64_t qi = 0; qi < dataset.test.size() && query_budget > 0;
-       ++qi) {
+  const std::int64_t queries =
+      config.max_queries > 0
+          ? std::min(config.max_queries, dataset.test.size())
+          : dataset.test.size();
+  for (std::int64_t qi = 0; qi < queries; ++qi) {
     const Triplet& truth = dataset.test[qi];
-    auto rank_side = [&](bool corrupt_tail) {
-      // The candidate batch for a (query, side) pair is identical across
-      // evaluations; a caller-supplied plan cache compiles it once and
-      // serves every later pass from the plan.
-      std::span<const Triplet> candidates;
-      std::shared_ptr<const sparse::CompiledBatch> plan;
-      auto fill = [&](std::vector<Triplet>& out) {
-        for (index_t e = 0; e < n; ++e) {
-          Triplet c = truth;
-          (corrupt_tail ? c.tail : c.head) = e;
-          out[static_cast<std::size_t>(e)] = c;
-        }
-      };
-      if (config.plan_cache) {
-        const sparse::PlanCache::Key key =
-            (static_cast<sparse::PlanCache::Key>(qi) << 1) |
-            (corrupt_tail ? 1u : 0u);
-        plan = config.plan_cache->find(key);
-        if (!plan) {
-          std::vector<Triplet> staged(static_cast<std::size_t>(n));
-          fill(staged);
-          plan = sparse::CompiledBatch::compile_owned(
-              std::move(staged), sparse::ScoringRecipe{},
-              dataset.num_entities(), dataset.train.num_relations());
-          config.plan_cache->put(key, plan);
-        }
-        candidates = plan->triplets();
-      } else {
-        fill(local_candidates);
-        candidates = local_candidates;
-      }
-      const std::vector<float> scores = model.score(candidates);
-      const float truth_score = scores[static_cast<std::size_t>(
-          corrupt_tail ? truth.tail : truth.head)];
-      // Optimistic-average tie handling: rank = 1 + #strictly better +
-      // #ties/2 (excluding the truth itself).
-      std::int64_t better = 0, ties = 0;
-      for (index_t e = 0; e < n; ++e) {
-        if (e == (corrupt_tail ? truth.tail : truth.head)) continue;
-        if (config.filtered) {
-          const Triplet& c = candidates[static_cast<std::size_t>(e)];
-          if (known.count(key_of(c.head, c.relation, c.tail))) continue;
-        }
-        const float s = scores[static_cast<std::size_t>(e)];
-        const bool is_better =
-            higher_better ? s > truth_score : s < truth_score;
-        if (is_better) {
-          ++better;
-        } else if (s == truth_score) {
-          ++ties;
-        }
-      }
-      const double rank = 1.0 + static_cast<double>(better) +
-                          static_cast<double>(ties) / 2.0;
-      sink(truth, corrupt_tail, rank);
-    };
-    if (config.corrupt_tails) rank_side(true);
-    if (config.corrupt_heads) rank_side(false);
-    --query_budget;
+    for (const bool corrupt_tail : {true, false}) {
+      if (!(corrupt_tail ? config.corrupt_tails : config.corrupt_heads))
+        continue;
+      const CandidateQuery query{corrupt_tail,
+                                 corrupt_tail ? truth.head : truth.tail,
+                                 truth.relation};
+      const std::vector<float> scores = score_candidates(model, query);
+      sink(truth, corrupt_tail,
+           filtered_rank(scores, query, corrupt_tail ? truth.tail : truth.head,
+                         higher_better, known));
+    }
   }
 }
-
-}  // namespace
 
 RankingMetrics evaluate(const models::KgeModel& model,
                         const kg::Dataset& dataset, const EvalConfig& config) {
   RankAccumulator acc;
-  rank_all(model, dataset, config,
-           [&](const Triplet&, bool, double rank) { acc.add(rank); });
+  for_each_rank(model, dataset, config,
+                [&](const Triplet&, bool, double rank) { acc.add(rank); });
   return acc.finish();
 }
 
@@ -200,12 +139,12 @@ CategoryMetrics evaluate_by_category(const models::KgeModel& model,
   const std::vector<RelationCategory> categories =
       classify_relations(dataset.train);
   RankAccumulator acc[4];
-  rank_all(model, dataset, config,
-           [&](const Triplet& truth, bool, double rank) {
-             const auto c = static_cast<std::size_t>(
-                 categories[static_cast<std::size_t>(truth.relation)]);
-             acc[c].add(rank);
-           });
+  for_each_rank(model, dataset, config,
+                [&](const Triplet& truth, bool, double rank) {
+                  const auto c = static_cast<std::size_t>(
+                      categories[static_cast<std::size_t>(truth.relation)]);
+                  acc[c].add(rank);
+                });
   CategoryMetrics out;
   for (int c = 0; c < 4; ++c) out.by_category[c] = acc[c].finish();
   return out;

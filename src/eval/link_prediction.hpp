@@ -6,14 +6,14 @@
 // the paper reports, Fig 5 / Tab 8) ignores candidates that are known
 // positives in train/valid/test. Ties rank optimistically-average
 // (candidates with strictly better score count, equal scores count half),
-// which avoids both the optimistic and pessimistic tie biases.
+// which avoids both the optimistic and pessimistic tie biases. The scan,
+// filter and rank live in eval/candidates.hpp, shared with serving.
 #pragma once
 
-#include <unordered_set>
+#include <functional>
 
 #include "src/kg/dataset.hpp"
 #include "src/models/model.hpp"
-#include "src/sparse/plan_cache.hpp"
 
 namespace sptx::eval {
 
@@ -32,23 +32,19 @@ struct EvalConfig {
   bool corrupt_tails = true;
   /// Cap on evaluated test triplets (0 = all); keeps scaled runs fast.
   std::int64_t max_queries = 0;
-  /// Optional candidate-plan cache, keyed by (query index, corruption
-  /// side). Each (test triplet, side) pair scores the same N-candidate
-  /// batch on every evaluation, so callers that evaluate repeatedly
-  /// (convergence tracking, per-category passes over one test set) share a
-  /// sparse::PlanCache here and reuse the staged candidate batches after
-  /// the first pass. What is reused is the candidate *staging* (the plans
-  /// carry no incidence — score() is the dense fast path), so the win is
-  /// bounded by the O(N) fill per query, not the O(N·d) scoring. Memory:
-  /// 2·|test|·N staged triplets stay resident. Opt in only for small test
-  /// splits that are evaluated many times; the cache is bound to one
-  /// dataset — invalidate() (or a fresh cache) when the split changes.
-  sparse::PlanCache* plan_cache = nullptr;
 };
 
 /// Evaluate `model` on `dataset.test` against all entities.
 RankingMetrics evaluate(const models::KgeModel& model,
                         const kg::Dataset& dataset, const EvalConfig& config);
+
+/// The per-query walk under evaluate(): hands `sink` the rank of every
+/// evaluated (test triplet, side) pair, tail side first.
+void for_each_rank(
+    const models::KgeModel& model, const kg::Dataset& dataset,
+    const EvalConfig& config,
+    const std::function<void(const Triplet&, bool /*tail_side*/,
+                             double /*rank*/)>& sink);
 
 /// Mapping-property class of a relation (the TransE/TransH literature's
 /// 1-1 / 1-N / N-1 / N-N split, thresholding average tails-per-head and

@@ -19,9 +19,6 @@ SessionOptions resolve(const SessionOptions& options,
       rc.int_or("SPTX_SERVE_MAX_BATCH", options.max_batch));
   resolved.window_us =
       static_cast<int>(rc.int_or("SPTX_SERVE_WINDOW_US", options.window_us));
-  resolved.plan_cache = rc.flag_or("SPTX_SERVE_PLAN_CACHE", options.plan_cache);
-  resolved.max_cached_plans = static_cast<index_t>(
-      rc.int_or("SPTX_SERVE_MAX_PLANS", options.max_cached_plans));
   resolved.queue_limit = static_cast<index_t>(
       rc.int_or("SPTX_SERVE_QUEUE_LIMIT", options.queue_limit));
   resolved.deadline_us = rc.int_or("SPTX_SERVE_DEADLINE_US",
@@ -66,8 +63,10 @@ InferenceSession::InferenceSession(
   SPTX_CHECK(snap != nullptr && snap->model != nullptr,
              "InferenceSession needs a model snapshot");
   if (options_.filter != nullptr) {
-    known_.reserve(static_cast<std::size_t>(options_.filter->size()) * 2);
-    for (const Triplet& t : options_.filter->triplets()) known_.insert(t);
+    known_ = eval::KnownTriplets(
+        snap->model->num_entities(), snap->model->num_relations(),
+        static_cast<std::size_t>(options_.filter->size()));
+    known_.add(options_.filter->triplets());
     options_.filter = nullptr;  // copied; never keep the caller's pointer
   }
 }
@@ -192,64 +191,10 @@ ScoreResult InferenceSession::try_score(std::span<const Triplet> batch,
   return result;
 }
 
-std::optional<sparse::PlanCache::Key> InferenceSession::candidate_key(
-    bool corrupt_tail, std::int64_t anchor, std::int64_t relation) {
-  // side(1 bit) | relation(23 bits) | anchor(40 bits) — exact or nothing;
-  // a lossy key would let two queries share one candidate plan.
-  constexpr std::int64_t kMaxAnchor = std::int64_t{1} << 40;
-  constexpr std::int64_t kMaxRelation = std::int64_t{1} << 23;
-  if (anchor < 0 || anchor >= kMaxAnchor || relation < 0 ||
-      relation >= kMaxRelation)
-    return std::nullopt;
-  return (static_cast<sparse::PlanCache::Key>(corrupt_tail ? 1 : 0) << 63) |
-         (static_cast<sparse::PlanCache::Key>(relation) << 40) |
-         static_cast<sparse::PlanCache::Key>(anchor);
-}
-
 std::vector<float> InferenceSession::candidate_scores(
-    const ServingSnapshot& snap, bool corrupt_tail, std::int64_t anchor,
-    std::int64_t relation) const {
-  const models::KgeModel& model = *snap.model;
-  const index_t n = model.num_entities();
-  SPTX_CHECK(anchor >= 0 && anchor < n, "entity id " << anchor
-                                                     << " out of range");
-  SPTX_CHECK(relation >= 0 && relation < model.num_relations(),
-             "relation id " << relation << " out of range");
-
-  const auto fill = [&](std::vector<Triplet>& out) {
-    out.resize(static_cast<std::size_t>(n));
-    for (index_t e = 0; e < n; ++e)
-      out[static_cast<std::size_t>(e)] =
-          corrupt_tail ? Triplet{anchor, relation, e}
-                       : Triplet{e, relation, anchor};
-  };
-
-  std::span<const Triplet> candidates;
-  std::shared_ptr<const sparse::CompiledBatch> plan;
-  std::vector<Triplet> local;
-  const auto key = options_.plan_cache
-                       ? candidate_key(corrupt_tail, anchor, relation)
-                       : std::nullopt;
-  if (key) {
-    plan = plans_.find(*key);
-    if (!plan) {
-      std::vector<Triplet> staged;
-      fill(staged);
-      plan = sparse::CompiledBatch::compile_owned(
-          std::move(staged), sparse::ScoringRecipe{}, n,
-          model.num_relations());
-      // The cap bounds resident memory, not correctness: over the cap the
-      // plan serves this query and is dropped. Check-and-insert is one
-      // lock acquisition — concurrent misses can never overshoot the cap.
-      plans_.put_bounded(*key, plan, options_.max_cached_plans);
-    }
-    candidates = plan->triplets();
-  } else {
-    fill(local);
-    candidates = local;
-  }
-  triplets_scored_.fetch_add(n, std::memory_order_relaxed);
-  return model.score(candidates);
+    const models::KgeModel& model, const eval::CandidateQuery& query) const {
+  triplets_scored_.fetch_add(model.num_entities(), std::memory_order_relaxed);
+  return eval::score_candidates(model, query);
 }
 
 namespace {
@@ -291,6 +236,7 @@ std::vector<Prediction> InferenceSession::top_impl(bool corrupt_tail,
   SPTX_CHECK(relation >= 0 && relation < model.num_relations(),
              "relation id " << relation << " out of range");
   queries_.fetch_add(1, std::memory_order_relaxed);
+  const eval::CandidateQuery query{corrupt_tail, anchor, relation};
 
   std::vector<Prediction> candidates;
   const auto support =
@@ -330,22 +276,16 @@ std::vector<Prediction> InferenceSession::top_impl(bool corrupt_tail,
                            static_cast<std::int64_t>(ids.size()));
     candidates.reserve(ids.size());
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      const index_t e = ids[i];
-      const Triplet t = corrupt_tail ? Triplet{anchor, relation, e}
-                                     : Triplet{e, relation, anchor};
-      if (filtered_out(t)) continue;
-      candidates.push_back({e, scores[i]});
+      if (known_.contains(query.candidate(ids[i]))) continue;
+      candidates.push_back({ids[i], scores[i]});
     }
   } else {
-    const std::vector<float> scores =
-        candidate_scores(*snap, corrupt_tail, anchor, relation);
+    const std::vector<float> scores = candidate_scores(model, query);
     topk_brute_.fetch_add(1, std::memory_order_relaxed);
     profiling::count_event(profiling::Counter::kAnnBruteTopkQueries);
     candidates.reserve(scores.size());
     for (index_t e = 0; e < static_cast<index_t>(scores.size()); ++e) {
-      const Triplet t = corrupt_tail ? Triplet{anchor, relation, e}
-                                     : Triplet{e, relation, anchor};
-      if (filtered_out(t)) continue;
+      if (known_.contains(query.candidate(e))) continue;
       candidates.push_back({e, scores[static_cast<std::size_t>(e)]});
     }
   }
@@ -370,31 +310,12 @@ double InferenceSession::rank(const Triplet& truth, bool corrupt_tail) const {
   check_triplet(truth, snap->model->num_entities(),
                 snap->model->num_relations());
   queries_.fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t anchor = corrupt_tail ? truth.head : truth.tail;
-  const std::int64_t truth_entity = corrupt_tail ? truth.tail : truth.head;
-  const std::vector<float> scores =
-      candidate_scores(*snap, corrupt_tail, anchor, truth.relation);
-  const float truth_score = scores[static_cast<std::size_t>(truth_entity)];
-  const bool higher = snap->model->higher_is_better();
-
-  // Optimistic-average tie handling, filtered competitors excluded — the
-  // evaluator's exact protocol (eval/link_prediction.cpp).
-  std::int64_t better = 0, ties = 0;
-  for (index_t e = 0; e < static_cast<index_t>(scores.size()); ++e) {
-    if (e == truth_entity) continue;
-    const Triplet candidate = corrupt_tail
-                                  ? Triplet{anchor, truth.relation, e}
-                                  : Triplet{e, truth.relation, anchor};
-    if (filtered_out(candidate)) continue;
-    const float s = scores[static_cast<std::size_t>(e)];
-    const bool is_better = higher ? s > truth_score : s < truth_score;
-    if (is_better) {
-      ++better;
-    } else if (s == truth_score) {
-      ++ties;
-    }
-  }
-  return 1.0 + static_cast<double>(better) + static_cast<double>(ties) / 2.0;
+  const eval::CandidateQuery query{corrupt_tail,
+                                   corrupt_tail ? truth.head : truth.tail,
+                                   truth.relation};
+  return eval::filtered_rank(candidate_scores(*snap->model, query), query,
+                             corrupt_tail ? truth.tail : truth.head,
+                             snap->model->higher_is_better(), known_);
 }
 
 std::vector<double> InferenceSession::rank_batch(
@@ -416,7 +337,6 @@ SessionStats InferenceSession::stats() const {
   s.installs = installs_.load(std::memory_order_relaxed);
   s.snapshot_version = cell_load()->version;
   s.batcher = batcher_.stats();
-  s.plans = plans_.stats();
   return s;
 }
 

@@ -15,11 +15,9 @@
 //  * rank queries        — rank()/rank_batch(): the evaluator's filtered
 //    optimistic-average rank of a truth triplet against all entities.
 //
-// Candidate batches for brute-force top-k/rank queries reuse the PR 2
-// CompiledBatch machinery the same way EvalConfig::plan_cache does: the
-// staged N-candidate batch for a (side, anchor, relation) query is compiled
-// once into a per-session sparse::PlanCache and served from the plan on
-// every later hit.
+// Brute-force top-k and rank queries run the evaluator's own candidate
+// scan, filter and rank (eval/candidates.hpp), so a session rank equals
+// the eval::evaluate rank of the same triplet and side by construction.
 //
 // Hot-swap: the snapshot lives behind an RCU-style atomic shared_ptr cell.
 // install() flips the cell; each in-flight request resolved the pointer
@@ -30,7 +28,7 @@
 // the new index off the serving threads, then install everywhere).
 // Hot-swap preserves the vocabulary: install() rejects a snapshot whose
 // entity/relation counts differ, which is what keeps request validation
-// and cached candidate plans valid across the flip.
+// and the known-triplet filter valid across the flip.
 //
 // Thread-safety contract: every public method is const and safe to call
 // from any number of threads concurrently (install() included). Results
@@ -42,18 +40,16 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/runtime_config.hpp"
 #include "src/common/thread_annotations.hpp"
+#include "src/eval/candidates.hpp"
 #include "src/kg/triplet.hpp"
 #include "src/models/model.hpp"
 #include "src/serve/ann_index.hpp"
 #include "src/serve/micro_batcher.hpp"
-#include "src/sparse/plan_cache.hpp"
 
 namespace sptx::serve {
 
@@ -68,14 +64,6 @@ struct SessionOptions {
   /// executing. 0 = continuous batching: drain whatever contention already
   /// queued, never add latency. SPTX_SERVE_WINDOW_US overrides.
   int window_us = 0;
-  /// Cache staged top-k/rank candidate batches per (side, anchor,
-  /// relation). SPTX_SERVE_PLAN_CACHE overrides.
-  bool plan_cache = true;
-  /// Resident-plan cap for the candidate cache. Each plan pins
-  /// num_entities staged triplets (24 B each — ~24 MB per plan on a
-  /// million-entity graph), so the default stays small; raise it for hot
-  /// query sets over small vocabularies. SPTX_SERVE_MAX_PLANS overrides.
-  index_t max_cached_plans = 64;
   /// Known positives to exclude from top-k results and rank competitors
   /// (the evaluator's "filtered" protocol). Copied at session open — the
   /// store need not outlive the session. Null = unfiltered.
@@ -131,7 +119,6 @@ struct SessionStats {
   std::int64_t installs = 0;         // hot-swaps applied (install() calls)
   std::uint64_t snapshot_version = 0;  // currently serving version
   MicroBatcher::Stats batcher;       // micro-batch queue traffic
-  sparse::PlanCache::Stats plans;    // candidate-plan cache traffic
 };
 
 /// Outcome of a deadline-aware try_score(): either accepted (scores filled,
@@ -219,22 +206,11 @@ class InferenceSession {
   std::vector<Prediction> top_impl(bool corrupt_tail, std::int64_t anchor,
                                    std::int64_t relation, int k) const;
 
-  /// Scores for the N-entity candidate batch of (side, anchor, relation),
-  /// staged through the candidate-plan cache when enabled. Candidate
-  /// batches are already SpMM-sized, so they bypass the micro-batcher.
-  std::vector<float> candidate_scores(const ServingSnapshot& snap,
-                                      bool corrupt_tail, std::int64_t anchor,
-                                      std::int64_t relation) const;
-
-  /// Collision-free cache key for (side, anchor, relation), or nullopt when
-  /// the ids exceed the packable range (then the query stages fresh —
-  /// correctness never rides on a lossy key).
-  static std::optional<sparse::PlanCache::Key> candidate_key(
-      bool corrupt_tail, std::int64_t anchor, std::int64_t relation);
-
-  bool filtered_out(const Triplet& t) const {
-    return !known_.empty() && known_.count(t) > 0;
-  }
+  /// Scores of all N candidates of `query` (eval::score_candidates,
+  /// counted in the stats). Candidate batches are already SpMM-sized, so
+  /// they bypass the micro-batcher.
+  std::vector<float> candidate_scores(const models::KgeModel& model,
+                                      const eval::CandidateQuery& query) const;
 
   /// Serving inputs are user-controlled; ids are range-checked before they
   /// reach the models' unchecked embedding-row arithmetic. The vocabulary
@@ -247,7 +223,7 @@ class InferenceSession {
   void cell_store(std::shared_ptr<const ServingSnapshot> snapshot) const;
 
   SessionOptions options_;
-  std::unordered_set<Triplet, TripletHash> known_;
+  eval::KnownTriplets known_;
   // The RCU cell. libstdc++ ≥ 12 provides the lock-free-ish atomic
   // specialization; the mutex fallback keeps older toolchains correct (and
   // carries the guarded-by contract so the fallback is analyzable too).
@@ -258,7 +234,6 @@ class InferenceSession {
   mutable std::shared_ptr<const ServingSnapshot> snapshot_
       SPTX_GUARDED_BY(snapshot_mu_);
 #endif
-  mutable sparse::PlanCache plans_;
   mutable MicroBatcher batcher_;
   mutable std::atomic<std::int64_t> queries_{0};
   mutable std::atomic<std::int64_t> triplets_scored_{0};

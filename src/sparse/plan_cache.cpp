@@ -181,24 +181,6 @@ void PlanCache::put(Key key, std::shared_ptr<const CompiledBatch> plan) {
   entries_[key] = std::move(plan);
 }
 
-bool PlanCache::put_bounded(Key key, std::shared_ptr<const CompiledBatch> plan,
-                            std::int64_t max_entries) {
-  MutexLock lock(mu_);
-  if (static_cast<std::int64_t>(entries_.size()) >= max_entries) return false;
-  entries_[key] = std::move(plan);
-  return true;
-}
-
-std::shared_ptr<const CompiledBatch> PlanCache::get_or_compile(
-    Key key, std::span<const Triplet> batch, const ScoringRecipe& recipe,
-    index_t num_entities, index_t num_relations, bool copy_triplets) {
-  if (auto plan = find(key)) return plan;
-  auto plan = CompiledBatch::compile(batch, recipe, num_entities,
-                                     num_relations, copy_triplets);
-  put(key, plan);
-  return plan;
-}
-
 void PlanCache::invalidate() {
   MutexLock lock(mu_);
   if (!entries_.empty()) {

@@ -17,9 +17,8 @@
 //    Immutable after compile; shared_ptr so autograd graphs, caches and
 //    epoch schedules can share one compilation.
 //  * PlanCache — keyed store of CompiledBatches with explicit invalidation.
-//    The trainer keys by batch ordinal and invalidates on shuffle /
-//    negative-resampling; link-prediction keys by (query, side) to reuse
-//    candidate batches across repeated evaluations.
+//    The trainer (and each DDP replica) keys by batch ordinal and
+//    invalidates on shuffle / negative-resampling.
 //
 // All cache traffic is counted through profiling/counters.hpp so tests can
 // assert hit rates and zero-rebuild epochs directly.
@@ -91,8 +90,8 @@ class CompiledBatch {
       std::span<const Triplet> batch, const ScoringRecipe& recipe,
       index_t num_entities, index_t num_relations, bool copy_triplets);
 
-  /// Compile a batch the caller already staged (shuffled / k-tiled / eval
-  /// candidates); the plan takes ownership.
+  /// Compile a batch the caller already staged (shuffled / k-tiled
+  /// negatives); the plan takes ownership.
   static std::shared_ptr<const CompiledBatch> compile_owned(
       std::vector<Triplet>&& batch, const ScoringRecipe& recipe,
       index_t num_entities, index_t num_relations);
@@ -138,9 +137,9 @@ class CompiledBatch {
 };
 
 /// Keyed store of compiled plans with explicit invalidation. Thread-safe:
-/// the prefetch thread inserts next-epoch plans while the training thread
-/// may still be reading — entries are shared_ptr so a concurrently evicted
-/// plan stays alive for whoever holds it.
+/// the kPrefetch pool task inserts next-epoch plans while the training
+/// thread may still be reading — entries are shared_ptr so a concurrently
+/// evicted plan stays alive for whoever holds it.
 class PlanCache {
  public:
   using Key = std::uint64_t;
@@ -156,19 +155,6 @@ class PlanCache {
   std::shared_ptr<const CompiledBatch> find(Key key) const SPTX_EXCLUDES(mu_);
 
   void put(Key key, std::shared_ptr<const CompiledBatch> plan)
-      SPTX_EXCLUDES(mu_);
-
-  /// put(), but only while fewer than `max_entries` plans are resident.
-  /// The capacity check and the insert run under one lock acquisition, so
-  /// concurrent callers can never overshoot the cap the way a separate
-  /// stats()-then-put() sequence could. Returns true when inserted.
-  bool put_bounded(Key key, std::shared_ptr<const CompiledBatch> plan,
-                   std::int64_t max_entries) SPTX_EXCLUDES(mu_);
-
-  /// find() or compile-and-put in one step.
-  std::shared_ptr<const CompiledBatch> get_or_compile(
-      Key key, std::span<const Triplet> batch, const ScoringRecipe& recipe,
-      index_t num_entities, index_t num_relations, bool copy_triplets)
       SPTX_EXCLUDES(mu_);
 
   /// Drop every entry — the shuffle / resample_negatives hook. Plans still

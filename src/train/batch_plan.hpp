@@ -6,8 +6,8 @@
 // them every batch of every epoch) and pre-building every incidence matrix
 // the model's ScoringRecipe names. Compilation consumes only plain data —
 // the triplet store, a negatives snapshot, a permutation — never the model's
-// weights or the run's RNG, so the trainer can run it on a background
-// prefetch thread while the previous epoch executes (double buffering).
+// weights or the run's RNG, so the trainer can run it as a kPrefetch pool
+// task while the previous epoch executes (double buffering).
 //
 // Plans flow through a sparse::PlanCache keyed by batch ordinal: when the
 // batch composition is epoch-invariant (no shuffle, no negative resampling)

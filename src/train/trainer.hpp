@@ -101,7 +101,7 @@ struct TrainResult {
   std::int64_t peak_bytes = 0;        // tracked allocation high-water mark
   std::int64_t flops = 0;             // FLOPs spent inside the loop
   /// Plan-compilation stage: synchronous compiles plus time spent waiting
-  /// on the prefetch thread at epoch boundaries.
+  /// on the kPrefetch pool task at epoch boundaries.
   double plan_compile_s = 0.0;
   /// Wall time per epoch (epoch 0 includes its plan compilation) — the
   /// first-epoch vs cached-epoch comparison bench_pipeline reports.

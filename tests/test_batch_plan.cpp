@@ -6,9 +6,8 @@
 // resampled negatives included — and the scoring core over a compiled plan
 // matches the span-based distance() bit-for-bit for every model family.
 // The profiling counters prove the structural claims — zero incidence
-// rebuilds after the first epoch of an invariant schedule, full
-// invalidation under shuffle / negative resampling, and candidate-plan
-// reuse across repeated evaluations.
+// rebuilds after the first epoch of an invariant schedule and full
+// invalidation under shuffle / negative resampling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/eval/link_prediction.hpp"
 #include "src/kg/negative_sampler.hpp"
 #include "src/kg/synthetic.hpp"
 #include "src/models/model.hpp"
@@ -283,12 +281,12 @@ TEST(BatchPlan, PlanCacheHitMissInvalidate) {
   recipe.hrt = true;
   sparse::PlanCache cache;
   EXPECT_EQ(cache.find(1), nullptr);
-  const auto p1 = cache.get_or_compile(1, batch, recipe, 20, 1, true);
-  ASSERT_NE(p1, nullptr);
-  EXPECT_EQ(cache.get_or_compile(1, batch, recipe, 20, 1, true).get(),
-            p1.get());
+  const auto p1 = sparse::CompiledBatch::compile(batch, recipe, 20, 1, true);
+  cache.put(1, p1);
+  EXPECT_EQ(cache.find(1).get(), p1.get());
+  EXPECT_EQ(cache.find(2), nullptr);
   auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 2);  // the probe find() + the first get_or_compile
+  EXPECT_EQ(stats.misses, 2);  // the probe before put() + the absent key 2
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.entries, 1);
   cache.invalidate();
@@ -298,38 +296,6 @@ TEST(BatchPlan, PlanCacheHitMissInvalidate) {
   EXPECT_EQ(cache.find(1), nullptr);
   // p1 outlives eviction — plans are shared, not owned by the cache.
   EXPECT_EQ(p1->triplets().size(), batch.size());
-}
-
-// ---- Eval plumbing -------------------------------------------------------
-
-TEST(BatchPlan, EvalReusesCandidatePlansAcrossEvaluations) {
-  Rng rng(21);
-  kg::Dataset ds = kg::generate({"eval-toy", 30, 4, 200}, rng, 0.0, 0.2);
-  Rng mr(2);
-  auto model = models::make_sparse_model("TransE", ds.num_entities(),
-                                         ds.num_relations(), cfg16(), mr);
-
-  eval::EvalConfig plain;
-  const auto reference = eval::evaluate(*model, ds, plain);
-
-  sparse::PlanCache cache;
-  eval::EvalConfig cached = plain;
-  cached.plan_cache = &cache;
-  const auto first = eval::evaluate(*model, ds, cached);
-  const auto miss_count = cache.stats().misses;
-  const auto second = eval::evaluate(*model, ds, cached);
-
-  // Metrics identical with and without the cache, across repeated passes.
-  EXPECT_EQ(first.mrr, reference.mrr);
-  EXPECT_EQ(second.mrr, reference.mrr);
-  EXPECT_EQ(first.hits_at_10, reference.hits_at_10);
-  EXPECT_EQ(second.queries, reference.queries);
-
-  // Two sides per query; the second pass is served entirely from plans.
-  const std::int64_t sides = 2 * ds.test.size();
-  EXPECT_EQ(miss_count, sides);
-  EXPECT_EQ(cache.stats().hits, sides);
-  EXPECT_EQ(cache.stats().entries, sides);
 }
 
 }  // namespace

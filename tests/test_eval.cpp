@@ -4,6 +4,7 @@
 #include <cmath>
 #include <algorithm>
 
+#include "src/eval/candidates.hpp"
 #include "src/eval/link_prediction.hpp"
 #include "src/kg/synthetic.hpp"
 
@@ -149,6 +150,72 @@ TEST(Eval, HitsAreMonotone) {
   EXPECT_LE(m.hits_at_3, m.hits_at_10);
   EXPECT_GE(m.mean_rank, 1.0);
   EXPECT_LE(m.mrr, 1.0);
+}
+
+TEST(Eval, FilterStaysExactPastTwoToTheTwentyOneEntities) {
+  // A packed (h<<42)^(r<<21)^t key maps candidate (0, 0, 2^21+5) and the
+  // known (0, 1, 5) to the same value, silently filtering a competitor out
+  // of the rank on graphs with more than 2^21 entities.
+  constexpr std::int64_t kBig = (std::int64_t{1} << 21) + 8;
+  constexpr std::int64_t kAliased = (std::int64_t{1} << 21) + 5;
+  kg::Dataset ds;
+  ds.name = "wide";
+  ds.train = TripletStore(kBig, 2, {{0, 1, 5}});
+  ds.valid = TripletStore(kBig, 2, {});
+  ds.test = TripletStore(kBig, 2, {{0, 0, 7}});
+  MockModel model(kBig, 2, [](const Triplet& t) {
+    if (t == Triplet{0, 0, kAliased}) return 0.0f;  // the one better rival
+    if (t == Triplet{0, 0, 7}) return 1.0f;         // the truth
+    return 2.0f;
+  });
+  eval::EvalConfig cfg;
+  cfg.corrupt_heads = false;
+  EXPECT_DOUBLE_EQ(eval::evaluate(model, ds, cfg).mean_rank, 2.0);
+
+  eval::KnownTriplets known(kBig, 2);
+  known.add(ds.train.triplets());
+  EXPECT_TRUE(known.contains({0, 1, 5}));
+  EXPECT_FALSE(known.contains({0, 0, kAliased}));
+}
+
+TEST(Eval, KnownTripletsIsExactAndChecksItsKeyRange) {
+  eval::KnownTriplets empty;
+  EXPECT_FALSE(empty.contains({0, 0, 0}));
+
+  eval::KnownTriplets known(10, 3, 4);
+  // (0, 0, 10) lies outside the vocabulary; keyed anyway it would alias
+  // (0, 1, 0), so add() skips it.
+  const std::vector<Triplet> triplets = {
+      {0, 0, 1}, {9, 2, 9}, {1, 0, 0}, {0, 0, 10}};
+  known.add(triplets);
+  EXPECT_TRUE(known.contains({0, 0, 1}));
+  EXPECT_TRUE(known.contains({9, 2, 9}));
+  EXPECT_TRUE(known.contains({1, 0, 0}));
+  EXPECT_FALSE(known.contains({0, 1, 0}));
+  EXPECT_FALSE(known.contains({1, 0, 1}));
+
+  // N·R·N must fit 64 bits: 2^32 entities leave room for no relation.
+  EXPECT_NO_THROW(eval::KnownTriplets(std::int64_t{1} << 31, 3));
+  EXPECT_THROW(eval::KnownTriplets(std::int64_t{1} << 32, 1), Error);
+}
+
+TEST(Eval, FilteredRankSkipsTruthAndKnownAndAveragesTies) {
+  // Candidates 0..5 of (2, 0, ?); truth 3 scores 1.0 (lower is better).
+  const std::vector<float> scores = {0.0f, 1.0f, 0.5f, 1.0f, 1.0f, 3.0f};
+  const eval::CandidateQuery query{true, 2, 0};
+  eval::KnownTriplets known(6, 1);
+  const std::vector<Triplet> positives = {{2, 0, 2}, {2, 0, 4}};
+  known.add(positives);
+  // Unfiltered: 0 and 2 better, 1 and 4 tie.
+  EXPECT_DOUBLE_EQ(
+      eval::filtered_rank(scores, query, 3, false, eval::KnownTriplets{}),
+      1.0 + 2.0 + 1.0);
+  // Filtered: 2 and 4 drop out.
+  EXPECT_DOUBLE_EQ(eval::filtered_rank(scores, query, 3, false, known),
+                   1.0 + 1.0 + 0.5);
+  // Higher is better: only 5 beats the truth.
+  EXPECT_DOUBLE_EQ(eval::filtered_rank(scores, query, 3, true, known),
+                   1.0 + 1.0 + 0.5);
 }
 
 }  // namespace

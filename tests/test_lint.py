@@ -103,6 +103,25 @@ class EnvRegistryRule(unittest.TestCase):
         self.assertEqual(len(found), 1)
         self.assertIn("SPTX_TYPO_KNOB", found[0])
 
+    def test_flags_unregistered_literal_outside_src(self):
+        # An example, bench or tool overriding a deleted knob fails lint,
+        # not only the run that happens to execute that binary.
+        files = {
+            "examples/engine_serving.cpp":
+                'options.config_overrides = {{"SPTX_SERVE_PLAN_CACHE", "on"}};\n',
+            "bench/bench_serve.cpp":
+                'config::ScopedOverride o("SPTX_SERVE_MAX_PLANS", "2");\n',
+            "tools/sptx_cli.cpp":
+                'auto v = cfg.flag_or("SPTX_PLAN_CACHE", false);\n',
+        }
+        with FixtureTree(files) as root:
+            found = lint(root, "env-registry")
+        self.assertEqual(len(found), 2, found)
+        self.assertTrue(found[0].startswith(
+            os.path.join("examples", "engine_serving.cpp") + ":1:"), found)
+        self.assertIn("SPTX_SERVE_PLAN_CACHE", found[0])
+        self.assertIn("SPTX_SERVE_MAX_PLANS", found[1])
+
     def test_flags_knob_missing_from_readme(self):
         registry = REGISTRY_CPP.replace(
             '    {"SPTX_FAULT_SPEC"',

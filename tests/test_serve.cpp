@@ -1,6 +1,6 @@
 // Tests for the inference serving layer (serve/session.hpp): correctness of
 // scoring / top-k / rank queries against brute force, micro-batch
-// coalescing equivalence, the candidate-plan cache, and — the load-bearing
+// coalescing equivalence, and — the load-bearing
 // contract — identical results for concurrent vs sequential execution from
 // many threads over one shared session.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "src/api/engine.hpp"
@@ -174,8 +175,6 @@ TEST(Serve, ConcurrentTopKAndRankMatchSequential) {
       EXPECT_EQ(got_top[w][i].score, expected_top[w][i].score);
     }
   }
-  // Repeated identical queries hit the candidate-plan cache.
-  EXPECT_GT(session->stats().plans.hits, 0);
 }
 
 TEST(Serve, TopTailsMatchesBruteForce) {
@@ -273,26 +272,77 @@ TEST(Serve, RankMatchesManualComputation) {
   EXPECT_EQ(batch_ranks[0], expected);
 }
 
-TEST(Serve, CandidatePlanCacheCapsResidency) {
-  Fixture fx;
-  serve::SessionOptions so;
-  so.max_cached_plans = 2;
-  auto session = fx.session(so);
-  for (std::int64_t h = 0; h < 6; ++h) session->top_tails(h, 0, 3);
-  const auto stats = session->stats();
-  EXPECT_LE(stats.plans.entries, 2);
-  EXPECT_EQ(stats.plans.misses, 6);
-  // Cached anchors still hit.
-  session->top_tails(0, 0, 3);
-  EXPECT_EQ(session->stats().plans.hits, 1);
+// Differential: on every test triplet and both sides, the session's rank
+// equals the evaluator's rank and an independent count, and brute-force
+// top-k equals an independent scan that scores every candidate, drops the
+// known positives and sorts by (score, entity id).
+TEST(Serve, RanksAndTopKMatchTheEvaluatorOnEveryTestTriplet) {
+  for (const char* family : {"TransE", "TransR", "DistMult"}) {
+    Fixture fx(family);
+    std::vector<Triplet> all;
+    for (const TripletStore* split : {&fx.ds.train, &fx.ds.valid, &fx.ds.test})
+      all.insert(all.end(), split->triplets().begin(), split->triplets().end());
+    const TripletStore known(fx.ds.num_entities(), fx.ds.num_relations(), all);
+    const std::unordered_set<Triplet, TripletHash> positives(all.begin(),
+                                                             all.end());
+    serve::SessionOptions so;
+    so.filter = &known;
+    so.ann = serve::AnnMode::kOff;
+    auto session = fx.session(so);
+    const models::KgeModel& model = *fx.frozen;
+    const bool higher = model.higher_is_better();
+    const index_t n = model.num_entities();
 
-  // plan_cache off: no plans at all.
-  serve::SessionOptions off;
-  off.plan_cache = false;
-  auto uncached = fx.session(off);
-  uncached->top_tails(0, 0, 3);
-  EXPECT_EQ(uncached->stats().plans.misses, 0);
-  EXPECT_EQ(uncached->stats().plans.entries, 0);
+    std::int64_t sides = 0;
+    eval::for_each_rank(
+        model, fx.ds, eval::EvalConfig{},
+        [&](const Triplet& truth, bool tail_side, double rank) {
+          ++sides;
+          EXPECT_EQ(session->rank(truth, tail_side), rank)
+              << family << " side " << tail_side;
+          std::vector<Triplet> candidates(static_cast<std::size_t>(n));
+          for (index_t e = 0; e < n; ++e)
+            candidates[static_cast<std::size_t>(e)] =
+                tail_side ? Triplet{truth.head, truth.relation, e}
+                          : Triplet{e, truth.relation, truth.tail};
+          const auto scores = model.score(candidates);
+          const float truth_score = scores[static_cast<std::size_t>(
+              tail_side ? truth.tail : truth.head)];
+          double expected = 1.0;
+          for (index_t e = 0; e < n; ++e) {
+            const auto& c = candidates[static_cast<std::size_t>(e)];
+            if (c == truth || positives.count(c) > 0) continue;
+            const float sc = scores[static_cast<std::size_t>(e)];
+            if (higher ? sc > truth_score : sc < truth_score) {
+              expected += 1.0;
+            } else if (sc == truth_score) {
+              expected += 0.5;
+            }
+          }
+          EXPECT_EQ(rank, expected) << family << " side " << tail_side;
+
+          if (!tail_side) return;
+          std::vector<serve::Prediction> brute;
+          for (index_t e = 0; e < n; ++e)
+            if (positives.count(candidates[static_cast<std::size_t>(e)]) == 0)
+              brute.push_back({e, scores[static_cast<std::size_t>(e)]});
+          std::sort(brute.begin(), brute.end(),
+                    [higher](const serve::Prediction& a,
+                             const serve::Prediction& b) {
+                      if (a.score != b.score)
+                        return higher ? a.score > b.score : a.score < b.score;
+                      return a.entity < b.entity;
+                    });
+          brute.resize(std::min<std::size_t>(brute.size(), 10));
+          const auto top = session->top_tails(truth.head, truth.relation, 10);
+          ASSERT_EQ(top.size(), brute.size()) << family;
+          for (std::size_t i = 0; i < top.size(); ++i) {
+            EXPECT_EQ(top[i].entity, brute[i].entity) << family << " #" << i;
+            EXPECT_EQ(top[i].score, brute[i].score) << family << " #" << i;
+          }
+        });
+    EXPECT_EQ(sides, 2 * fx.ds.test.size()) << family;
+  }
 }
 
 TEST(Serve, SemiringFamilyServesHigherIsBetter) {

@@ -6,9 +6,6 @@
 //    iteration. Now guarded by sessions_mu_.
 //  * Workspace::enabled() — a plain-int read of depth_ raced the locked
 //    writes in enable()/disable(). Now an atomic with acquire/release.
-//  * InferenceSession's candidate-plan cap — stats()-then-put() let
-//    concurrent compilers overshoot max_cached_plans. Now
-//    PlanCache::put_bounded checks and inserts under one lock.
 //
 // The hammer tests are small enough to finish in well under a second yet
 // wide enough that TSan (SPTX_SANITIZE=thread in CI) reports the original
@@ -23,7 +20,6 @@
 #include "src/api/engine.hpp"
 #include "src/kg/synthetic.hpp"
 #include "src/profiling/counters.hpp"
-#include "src/sparse/plan_cache.hpp"
 #include "src/tensor/workspace.hpp"
 
 namespace sptx {
@@ -40,56 +36,6 @@ ModelSpec tiny_spec() {
   spec.config.dim = 8;
   spec.seed = 7;
   return spec;
-}
-
-// ---- PlanCache::put_bounded ------------------------------------------------
-
-std::shared_ptr<const sparse::CompiledBatch> tiny_plan() {
-  std::vector<Triplet> batch = {{0, 0, 1}, {1, 1, 2}};
-  sparse::ScoringRecipe recipe;
-  recipe.hrt = true;
-  recipe.dim = 4;
-  return sparse::CompiledBatch::compile_owned(std::move(batch), recipe, 4, 2);
-}
-
-TEST(PlanCachePutBounded, InsertsBelowCapRejectsAtCap) {
-  sparse::PlanCache cache;
-  const auto plan = tiny_plan();
-  EXPECT_TRUE(cache.put_bounded(1, plan, 2));
-  EXPECT_TRUE(cache.put_bounded(2, plan, 2));
-  EXPECT_FALSE(cache.put_bounded(3, plan, 2));  // at cap: rejected
-  EXPECT_EQ(cache.stats().entries, 2);
-  EXPECT_NE(cache.find(1), nullptr);
-  EXPECT_NE(cache.find(2), nullptr);
-  EXPECT_EQ(cache.find(3), nullptr);
-}
-
-TEST(PlanCachePutBounded, ConcurrentInsertersNeverOvershootTheCap) {
-  // The pre-fix sequence — if (stats().entries < cap) put(...) — admits
-  // every thread that reads the size before any of them inserts. With the
-  // check and insert under one lock, exactly `cap` inserts succeed no
-  // matter the interleaving.
-  constexpr std::int64_t kCap = 8;
-  constexpr int kThreads = 4;
-  constexpr int kKeysPerThread = 16;
-  sparse::PlanCache cache;
-  const auto plan = tiny_plan();
-  std::atomic<int> accepted{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int k = 0; k < kKeysPerThread; ++k) {
-        const auto key =
-            static_cast<sparse::PlanCache::Key>(t * kKeysPerThread + k);
-        if (cache.put_bounded(key, plan, kCap))
-          accepted.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(accepted.load(), kCap);
-  EXPECT_EQ(cache.stats().entries, kCap);
 }
 
 // ---- Workspace::enabled ----------------------------------------------------

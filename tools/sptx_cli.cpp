@@ -491,10 +491,6 @@ int cmd_serve(const Args& args) {
               static_cast<long long>(stats.batcher.batches_executed),
               static_cast<long long>(stats.batcher.coalesced_requests),
               static_cast<long long>(stats.batcher.triplets));
-  std::printf("  candidate plans: %lld hits, %lld misses, %lld resident\n",
-              static_cast<long long>(stats.plans.hits),
-              static_cast<long long>(stats.plans.misses),
-              static_cast<long long>(stats.plans.entries));
   std::printf("  top-k: %lld via ANN (%lld candidates re-ranked), "
               "%lld brute-force\n",
               static_cast<long long>(stats.topk_ann),

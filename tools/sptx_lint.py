@@ -8,8 +8,10 @@ compiler enforces:
                   src/common/runtime_config.cpp — every other consumer goes
                   through the RuntimeConfig registry, so one snapshot
                   governs a whole run.
-  env-registry    every "SPTX_*" string literal in src/ names a knob
-                  registered in the runtime_config.cpp table, every
+  env-registry    every "SPTX_*" string literal in src/, examples/,
+                  bench/ and tools/ names a knob registered in the
+                  runtime_config.cpp table (an override of a deleted
+                  knob fails here, not only when its binary runs), every
                   registered knob is documented in README.md's env table,
                   and every SPTX_* name in a README table row is registered
                   — no phantom knobs, no undocumented knobs, no docs for
@@ -202,15 +204,17 @@ class Linter:
     def check_registry(self):
         knobs, registry_path = self.registry_knobs()
         literal = re.compile(r'"(SPTX_[A-Z0-9_]+)"')
-        for path in iter_source_files(self.root):
-            for lineno, line in enumerate(
-                    strip_comments(read(path)).splitlines(), 1):
-                for name in literal.findall(line):
-                    if name not in knobs:
-                        self.report(
-                            path, lineno, "env-registry",
-                            f"'{name}' is not a registered knob — add it to "
-                            "the runtime_config.cpp table (or fix the typo)")
+        for subdir in ("src", "examples", "bench", "tools"):
+            for path in iter_source_files(self.root, subdir):
+                for lineno, line in enumerate(
+                        strip_comments(read(path)).splitlines(), 1):
+                    for name in literal.findall(line):
+                        if name not in knobs:
+                            self.report(
+                                path, lineno, "env-registry",
+                                f"'{name}' is not a registered knob — add it "
+                                "to the runtime_config.cpp table (or fix the "
+                                "typo)")
         readme = os.path.join(self.root, "README.md")
         readme_text = read(readme) if os.path.exists(readme) else ""
         for name in sorted(knobs):
