@@ -36,21 +36,7 @@ inline constexpr bool kReleaseBuild =
 
 inline const char* build_type() { return kReleaseBuild ? "release" : "debug"; }
 
-/// JSON context fragment every bench's document embeds:
-/// `"build_type": "release"` — plus a loud warning field when the library
-/// was not compiled Release, so a stray debug artefact can never be read as
-/// a real measurement.
-inline std::string build_type_json() {
-  std::string json = "\"build_type\": \"" + std::string(build_type()) + "\"";
-  if (!kReleaseBuild) {
-    json +=
-        ",\n  \"WARNING\": \"library_build_type != release — timings are "
-        "not comparable; rebuild with -DCMAKE_BUILD_TYPE=Release\"";
-  }
-  return json;
-}
-
-/// Stderr counterpart for the text-artefact benches.
+/// Loud stderr warning when the bench was not compiled Release.
 inline void warn_if_debug_build() {
   if (!kReleaseBuild) {
     std::fprintf(stderr,

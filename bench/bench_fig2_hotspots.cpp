@@ -53,9 +53,9 @@ int main() {
   // default fused path those collapse into one kernels::fused_* node per
   // score column. This is the before/after the fused-kernel PR claims.
   std::printf("\n-- SpTransX loop, autograd graph (SPTX_FUSED=off) --\n");
-  for (const char* mode : {"off", "auto"}) {
-    if (std::string(mode) == "auto")
-      std::printf("\n-- SpTransX loop, fused kernels (SPTX_FUSED=auto) --\n");
+  for (const char* mode : {"off", "on"}) {
+    if (std::string(mode) == "on")
+      std::printf("\n-- SpTransX loop, fused kernels (SPTX_FUSED=on) --\n");
     config::ScopedOverride fused("SPTX_FUSED", mode);
     for (const std::string model_name :
          {"TransE", "TransH", "TransR", "TransD", "TorusE"}) {

@@ -56,7 +56,7 @@ class Engine {
  public:
   struct Options {
     /// (knob, value) overrides applied on top of the environment snapshot,
-    /// e.g. {{"SPTX_NO_SIMD", "1"}, {"SPTX_PREFETCH", "0"}}.
+    /// e.g. {{"SPTX_NO_SIMD", "1"}, {"SPTX_FUSED", "off"}}.
     /// Validated against the registry — a typo throws at construction.
     std::vector<std::pair<std::string, std::string>> config_overrides;
     /// Install this engine's snapshot as the process-wide config

@@ -18,14 +18,11 @@ constexpr ConfigSpec kSpecs[] = {
     {"SPTX_NO_SIMD", ConfigType::kFlag, "0",
      "Force the scalar SpMM kernels even when cpuid reports AVX2+FMA "
      "(kernel-equivalence testing, perf triage)."},
-    {"SPTX_FUSED", ConfigType::kEnum, "auto",
-     "Fused forward+backward scoring kernels (src/kernels): auto/on use the "
-     "single-pass fused path for every family that provides it, off keeps "
-     "the legacy autograd graph (bit-identical to the historical path).",
-     "auto|on|off"},
-    {"SPTX_PREFETCH", ConfigType::kFlag, "",
-     "Override TrainConfig::prefetch: compile epoch e+1's plans as a "
-     "kPrefetch pool task while epoch e executes."},
+    {"SPTX_FUSED", ConfigType::kFlag, "1",
+     "Fused forward+backward scoring kernels (src/kernels): on (the "
+     "default) uses the single-pass fused path for every family that "
+     "provides it, off keeps the legacy autograd graph (bit-identical to "
+     "the historical path)."},
     {"SPTX_DDP_WORKERS", ConfigType::kInt, "",
      "Override DdpConfig::workers: thread-backed data-parallel worker "
      "count."},
@@ -236,7 +233,7 @@ RuntimeConfig RuntimeConfig::from_env() {
 
 void RuntimeConfig::refresh_hot() {
   hot_.no_simd = flag_or("SPTX_NO_SIMD", false);
-  hot_.fused_off = to_lower(value_or("SPTX_FUSED", "auto")) == "off";
+  hot_.fused_off = !flag_or("SPTX_FUSED", true);
 }
 
 std::size_t RuntimeConfig::index_of(std::string_view name) {

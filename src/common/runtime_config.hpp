@@ -18,9 +18,10 @@
 //  * to_json()                 — the effective configuration as JSON, for
 //    logging what a run actually used.
 //
-// Knobs that default to "keep the config-struct field" (SPTX_PREFETCH,
-// SPTX_DDP_WORKERS, …) are tri-state: is_set() distinguishes "absent" from
-// an explicit value, and the *_or accessors fall back to the caller's value.
+// Knobs that default to "keep the config-struct field" (SPTX_DDP_WORKERS,
+// SPTX_CHECKPOINT_EVERY, …) are tri-state: is_set() distinguishes "absent"
+// from an explicit value, and the *_or accessors fall back to the caller's
+// value.
 // All flag parsing is case-insensitive: "0" / "off" / "false" / "no"
 // disable, any other non-empty value enables.
 //
@@ -53,7 +54,7 @@ enum class ConfigType {
 /// One registered knob. The table is pure data — adding a knob means adding
 /// a row here and reading it where it applies.
 struct ConfigSpec {
-  std::string_view name;           // "SPTX_PREFETCH"
+  std::string_view name;           // "SPTX_DDP_WORKERS"
   ConfigType type = ConfigType::kFlag;
   /// Canonical default in text form. Empty = tri-state "keep the caller's
   /// config-struct field" (the *_or accessors' fallback applies).
@@ -120,7 +121,7 @@ class RuntimeConfig {
   /// access — no name lookup, no string allocation, no parsing.
   struct HotKnobs {
     bool no_simd = false;
-    bool fused_off = false;  // SPTX_FUSED == "off"
+    bool fused_off = false;  // SPTX_FUSED is off
   };
   const HotKnobs& hot() const { return hot_; }
 

@@ -120,7 +120,6 @@ struct DdpConfig {
 struct DdpResult {
   double total_seconds = 0.0;
   std::vector<float> epoch_loss;
-  std::vector<double> epoch_seconds;
   /// Worker replica 0 after training (all replicas are bit-identical).
   std::unique_ptr<models::KgeModel> model;
   // ---- resolved configuration -------------------------------------------

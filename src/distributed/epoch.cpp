@@ -263,7 +263,6 @@ int RunLog::resume(std::span<Replica> replicas) {
 }
 
 void RunLog::begin_epoch() {
-  epoch_start_ = profiling::clock::now();
   loss_sum_ = 0.0;
   batches_ = 0;
 }
@@ -272,7 +271,6 @@ void RunLog::end_epoch(int epoch, models::KgeModel& model) {
   const float mean_loss =
       batches_ > 0 ? static_cast<float>(loss_sum_ / batches_) : 0.0f;
   result_.epoch_loss.push_back(mean_loss);
-  result_.epoch_seconds.push_back(profiling::seconds_since(epoch_start_));
   if (res_.on_epoch) res_.on_epoch(epoch, mean_loss);
 
   // Crash safety: rotated atomic checkpoint at the epoch boundary. Only

@@ -173,7 +173,6 @@ class RunLog {
   profiling::CounterWindow dense_{profiling::Counter::kDdpDenseReduces};
   profiling::CounterWindow builds_{profiling::Counter::kIncidenceBuilds};
   profiling::clock::time_point t0_ = profiling::clock::now();
-  profiling::clock::time_point epoch_start_{};
   double loss_sum_ = 0.0;
   index_t batches_ = 0;
 };

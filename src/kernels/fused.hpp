@@ -15,9 +15,9 @@
 // Everything is AVX2/FMA with a scalar fallback, dispatched at runtime per
 // batch via the same cpuid probe as the SpMM engine (cpu_features.hpp;
 // SPTX_NO_SIMD forces scalar). The models layer wires these in behind the
-// SPTX_FUSED registry knob: `off` keeps the legacy autograd graph (bit
-// identical to the historical path), `auto`/`on` use the fused kernels for
-// every family that provides them.
+// SPTX_FUSED registry flag: `off` keeps the legacy autograd graph (bit
+// identical to the historical path), on (the default) uses the fused
+// kernels for every family that provides them.
 //
 // Numerical contract: identical formulas and epsilons as the autograd ops
 // they replace (row_l2's 1e-12 denominator clamp, the sign(0) = 0
@@ -50,9 +50,9 @@ enum class Norm { kL1, kL2 };
 
 /// SPTX_FUSED resolution against the process-wide snapshot (one
 /// pre-resolved field read, RuntimeConfig::hot()): `off` disables the fused
-/// layer, `auto`/`on` enable it wherever a family provides kernels (the
-/// semiring families are already single fused autograd ops, so they are
-/// unaffected either way).
+/// layer, on (the default) enables it wherever a family provides kernels
+/// (the semiring families are already single fused autograd ops, so they
+/// are unaffected either way).
 bool fused_enabled();
 
 // ---- ANN candidate re-rank -------------------------------------------------

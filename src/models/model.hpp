@@ -211,7 +211,7 @@ class ScoringCoreModel : public KgeModel {
   }
 
   /// The dispatch every consumer goes through: fused_forward() when the
-  /// SPTX_FUSED registry knob allows it (auto/on, the default) and the
+  /// SPTX_FUSED registry flag allows it (on, the default) and the
   /// family provides kernels, the autograd-graph forward() otherwise
   /// (SPTX_FUSED=off keeps the historical path bit-identical).
   autograd::Variable run_forward(const sparse::CompiledBatch& batch);

@@ -34,9 +34,9 @@ struct BatchPlan {
 
 /// The inputs one epoch's compilation consumes. All RNG-driven state (the
 /// permutation, refreshed negatives) is produced by the caller on the
-/// driving thread, which keeps the RNG stream identical with prefetch on or
-/// off. Spans must outlive the compiled plans unless staging copies them
-/// (shuffle or k > 1 always stage).
+/// driving thread, which keeps the RNG stream identical whether the compile
+/// runs inline or as a pool task. Spans must outlive the compiled plans
+/// unless staging copies them (shuffle or k > 1 always stage).
 struct EpochBatchSource {
   /// Positives — an in-memory store or an mmap'd streaming store; batches
   /// compile from zero-copy slices either way.

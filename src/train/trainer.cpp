@@ -196,14 +196,10 @@ struct TrainLoop {
   }
 
   /// Epoch-end bookkeeping; returns true when early stopping fires.
-  bool finish_epoch(int epoch, double loss_sum, index_t batches,
-                    profiling::clock::time_point epoch_start,
-                    double extra_seconds) {
+  bool finish_epoch(int epoch, double loss_sum, index_t batches) {
     const float mean_loss =
         batches > 0 ? static_cast<float>(loss_sum / batches) : 0.0f;
     if (config.record_loss_curve) result.epoch_loss.push_back(mean_loss);
-    result.epoch_seconds.push_back(profiling::seconds_since(epoch_start) +
-                                   extra_seconds);
     if (on_epoch) on_epoch(epoch, mean_loss);
 
     if (config.patience > 0) {
@@ -219,7 +215,8 @@ struct TrainLoop {
 };
 
 /// Staged pipeline: plan-compile → forward/backward → step, with plans
-/// cached across epochs and optionally prefetched one epoch ahead.
+/// cached across epochs or, when the schedule varies, prefetched one epoch
+/// ahead.
 void run_planned(TrainLoop& loop) {
   const TrainConfig& config = loop.config;
   const TripletStore& data = loop.data;
@@ -234,7 +231,6 @@ void run_planned(TrainLoop& loop) {
   recipe.row_support = true;  // the row-sparse step's per-batch support
 
   const bool variant = config.shuffle || config.resample_negatives;
-  const bool prefetch = variant && config.prefetch;
 
   sparse::PlanCache cache;
   std::vector<index_t> positions;  // pair permutation; empty = identity
@@ -260,7 +256,6 @@ void run_planned(TrainLoop& loop) {
   // drawing a fresh shuffle — the interrupted run already consumed that
   // RNG when it derived this epoch's inputs.
   std::vector<BatchPlan> plans;
-  double initial_compile_s = 0.0;
   if (config.epochs > loop.start_epoch) {
     if (config.shuffle) {
       if (loop.resumed) {
@@ -273,23 +268,19 @@ void run_planned(TrainLoop& loop) {
       }
     }
     profiling::ScopedAccum plan_timer(loop.result.plan_compile_s);
-    const auto t0 = profiling::clock::now();
     plans = compile_epoch_plans(make_source(loop.negatives, positions), recipe,
                                 &cache);
-    initial_compile_s = profiling::seconds_since(t0);
   }
 
   // The row-sparse step clears only the rows it updates, so the gradients
   // start from zero once here instead of once per batch.
   loop.opt->zero_grad();
   for (int epoch = loop.start_epoch; epoch < config.epochs; ++epoch) {
-    const auto epoch_start = profiling::clock::now();
     loop.apply_schedule(epoch);
 
     // Stage 1 for epoch e+1: the driving thread derives all RNG-dependent
-    // inputs (so the stream does not depend on prefetch), then the compile
-    // runs as a pool task while this epoch executes — or synchronously
-    // when prefetch is off.
+    // inputs (so the stream does not depend on the pool), then the compile
+    // runs as a pool task while this epoch executes.
     std::vector<BatchPlan> next_plans;
     std::vector<Triplet> next_negatives;
     std::vector<index_t> next_positions;
@@ -299,10 +290,6 @@ void run_planned(TrainLoop& loop) {
     // are still alive.
     runtime::TaskGroup prefetch_group;
     bool have_next = false;
-    // Next-epoch compilation done inside this epoch's wall (sync mode);
-    // excluded from epoch_seconds so per-epoch numbers stay comparable
-    // between prefetch on and off.
-    double overlap_compile_s = 0.0;
     if (variant && epoch + 1 < config.epochs) {
       if (config.resample_negatives) {
         next_negatives =
@@ -313,37 +300,25 @@ void run_planned(TrainLoop& loop) {
         shuffle_positions(next_positions, loop.rng);
       }
       have_next = true;
+      // Exceptions in the task (bad_alloc compiling a large epoch, a
+      // failed SPTX_CHECK) are captured and rethrown at the join point. The
+      // compile is a kPrefetch task on the shared pool; a zero-worker pool
+      // runs it inside the wait below.
       auto compile_next = [&]() {
-        cache.invalidate();
-        next_plans = compile_epoch_plans(
-            make_source(config.resample_negatives ? next_negatives
-                                                  : loop.negatives,
-                        config.shuffle ? next_positions : positions),
-            recipe, &cache);
+        try {
+          cache.invalidate();
+          next_plans = compile_epoch_plans(
+              make_source(config.resample_negatives ? next_negatives
+                                                    : loop.negatives,
+                          config.shuffle ? next_positions : positions),
+              recipe, &cache);
+        } catch (...) {
+          prefetch_error = std::current_exception();
+        }
       };
-      if (prefetch) {
-        // Exceptions in the task (bad_alloc compiling a large epoch, a
-        // failed SPTX_CHECK) are captured and rethrown at the join point —
-        // the same surface sync mode gives the caller. compile_next is
-        // copied into the task: it outlives this block. The compile is a
-        // kPrefetch task on the shared pool (a zero-worker pool runs it
-        // inside the wait below, which is exactly sync-mode semantics).
-        auto guarded_compile = [compile_next, &prefetch_error]() {
-          try {
-            compile_next();
-          } catch (...) {
-            prefetch_error = std::current_exception();
-          }
-        };
-        runtime::TaskPool::instance().submit(prefetch_group,
-                                             std::move(guarded_compile),
-                                             runtime::TaskClass::kPrefetch);
-      } else {
-        profiling::ScopedAccum plan_timer(loop.result.plan_compile_s);
-        const auto t0 = profiling::clock::now();
-        compile_next();
-        overlap_compile_s = profiling::seconds_since(t0);
-      }
+      runtime::TaskPool::instance().submit(prefetch_group,
+                                           std::move(compile_next),
+                                           runtime::TaskClass::kPrefetch);
     } else if (!variant && epoch > loop.start_epoch) {
       // Epoch-invariant schedule: re-resolve through the cache (all hits —
       // the zero-rebuild property the tests assert).
@@ -366,10 +341,7 @@ void run_planned(TrainLoop& loop) {
       ++batches;
     }
 
-    const bool stop = loop.finish_epoch(
-        epoch, loss_sum, batches, epoch_start,
-        (epoch == loop.start_epoch ? initial_compile_s : 0.0) -
-            overlap_compile_s);
+    const bool stop = loop.finish_epoch(epoch, loss_sum, batches);
 
     // Stage 3: adopt the prefetched schedule (join waits count as plan
     // time — they are the pipeline bubble prefetch exists to hide).
@@ -400,7 +372,6 @@ void run_planned(TrainLoop& loop) {
 
 TrainConfig resolve(const TrainConfig& config, const RuntimeConfig& rc) {
   TrainConfig resolved = config;
-  resolved.prefetch = rc.flag_or("SPTX_PREFETCH", config.prefetch);
   resolved.checkpoint_every = static_cast<int>(
       rc.int_or("SPTX_CHECKPOINT_EVERY", config.checkpoint_every));
   resolved.checkpoint_keep = static_cast<int>(

@@ -15,9 +15,10 @@
 // protocol (no shuffle, no negative resampling) the schedule is
 // epoch-invariant and every epoch after the first runs with zero incidence
 // rebuilds; shuffle / resample_negatives invalidate the cache and
-// recompile, optionally as a pool prefetch task that compiles epoch
-// e+1 while epoch e executes (double buffering — bit-exact either way,
-// because all RNG stays on the driving thread).
+// recompile as a kPrefetch pool task that compiles epoch e+1 while epoch e
+// executes (double buffering; a width-1 pool runs it inside the join). The
+// result is bit-exact at every pool width because all RNG stays on the
+// driving thread.
 #pragma once
 
 #include <functional>
@@ -70,11 +71,6 @@ struct TrainConfig {
   /// (0 = off) — forwarded to the optimizer.
   float weight_decay = 0.0f;
   float grad_clip_norm = 0.0f;
-  /// Compile epoch e+1's plans as a kPrefetch pool task while epoch e
-  /// executes. Only engages when shuffle / resample_negatives invalidate
-  /// plans every epoch (otherwise the cache already serves them).
-  /// SPTX_PREFETCH=0|1 overrides.
-  bool prefetch = true;
   /// Crash safety: when > 0, write an atomic CRC-checksummed training
   /// checkpoint (model + optimizer + RNG + epoch cursor + sampling
   /// buffers) to `<checkpoint_path>.ep<N>` after every `checkpoint_every`
@@ -103,25 +99,23 @@ struct TrainResult {
   /// Plan-compilation stage: synchronous compiles plus time spent waiting
   /// on the kPrefetch pool task at epoch boundaries.
   double plan_compile_s = 0.0;
-  /// Wall time per epoch (epoch 0 includes its plan compilation) — the
-  /// first-epoch vs cached-epoch comparison bench_pipeline reports.
-  std::vector<double> epoch_seconds;
   /// Plan-cache traffic for the run (hits/misses/invalidations).
   sparse::PlanCache::Stats plan_stats;
   /// Incidence-matrix builder invocations inside the run; with an
   /// epoch-invariant schedule everything after epoch 0 must be zero.
   std::int64_t incidence_builds = 0;
   /// First epoch this run executed (> 0 when resumed from a checkpoint).
-  /// epoch_loss still covers the full trajectory; phases / epoch_seconds /
-  /// total_seconds cover only this process's share.
+  /// epoch_loss still covers the full trajectory; phases / total_seconds
+  /// cover only this process's share.
   int start_epoch = 0;
   /// Crash-safety traffic: checkpoints written and the newest one's path.
   int checkpoints_written = 0;
   std::string last_checkpoint;
 };
 
-/// Apply the registry's training overrides (SPTX_PREFETCH,
-/// SPTX_CHECKPOINT_EVERY, SPTX_CHECKPOINT_KEEP) to `config`. Knobs left unset in the snapshot keep the config's fields.
+/// Apply the registry's training overrides (SPTX_CHECKPOINT_EVERY,
+/// SPTX_CHECKPOINT_KEEP) to `config`. Knobs left unset in the snapshot
+/// keep the config's fields.
 TrainConfig resolve(const TrainConfig& config, const RuntimeConfig& rc);
 
 /// Train `model` on `data` per `config`. The callback (optional) fires after

@@ -21,6 +21,7 @@
 #include "src/kg/synthetic.hpp"
 #include "src/models/model.hpp"
 #include "src/profiling/counters.hpp"
+#include "src/runtime/task_pool.hpp"
 #include "src/sparse/incidence.hpp"
 #include "src/sparse/plan_cache.hpp"
 #include "src/tensor/matrix.hpp"
@@ -137,19 +138,27 @@ TEST(BatchPlan, EpochPlansStageTheDirectPairing) {
   }
 }
 
-TEST(BatchPlan, PrefetchOnOffBitExact) {
+// A shuffled, resampled schedule recompiles every epoch as a kPrefetch pool
+// task. At pool width 1 the task runs inline inside the join; at width 2 a
+// worker compiles epoch e+1 while epoch e executes. Both must train the
+// same losses bit for bit, because all RNG stays on the driving thread.
+TEST(BatchPlan, PrefetchTaskBitExactAcrossPoolWidths) {
   const kg::Dataset ds = small_dataset();
+  runtime::TaskPool& pool = runtime::TaskPool::instance();
+  const int width_before = pool.threads();
   for (const std::string& name :
        {std::string("TransE"), std::string("TransR"), std::string("ComplEx")}) {
-    train::TrainConfig on = base_config();
-    on.shuffle = true;
-    on.resample_negatives = true;
-    on.prefetch = true;
-    train::TrainConfig off = on;
-    off.prefetch = false;
-    expect_identical_losses(run(name, ds, on), run(name, ds, off),
-                            name + " prefetch on/off");
+    train::TrainConfig tc = base_config();
+    tc.shuffle = true;
+    tc.resample_negatives = true;
+    pool.resize(1);
+    const train::TrainResult inline_compile = run(name, ds, tc);
+    pool.resize(2);
+    const train::TrainResult pooled_compile = run(name, ds, tc);
+    expect_identical_losses(inline_compile, pooled_compile,
+                            name + " pool width 1/2");
   }
+  pool.resize(width_before);
 }
 
 // ---- Cache behaviour: the structural claims ------------------------------
@@ -160,7 +169,6 @@ TEST(BatchPlan, InvariantScheduleRebuildsNothingAfterFirstEpoch) {
        {std::string("TransE"), std::string("TransH"), std::string("TransD")}) {
     train::TrainConfig one = base_config();
     one.epochs = 1;
-    one.prefetch = false;
     train::TrainConfig many = one;
     many.epochs = 5;
     const auto r1 = run(name, ds, one);
@@ -183,7 +191,6 @@ TEST(BatchPlan, ShuffleInvalidatesEveryEpoch) {
   train::TrainConfig tc = base_config();
   tc.epochs = 3;
   tc.shuffle = true;
-  tc.prefetch = false;
   const auto r = run("TransE", ds, tc);
   EXPECT_EQ(r.plan_stats.hits, 0);
   EXPECT_EQ(r.plan_stats.invalidations, tc.epochs - 1);
@@ -199,7 +206,6 @@ TEST(BatchPlan, ResampleInvalidatesEveryEpoch) {
   train::TrainConfig tc = base_config();
   tc.epochs = 3;
   tc.resample_negatives = true;
-  tc.prefetch = false;
   const auto r = run("TransE", ds, tc);
   EXPECT_EQ(r.plan_stats.hits, 0);
   EXPECT_EQ(r.plan_stats.invalidations, tc.epochs - 1);

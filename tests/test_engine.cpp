@@ -222,18 +222,22 @@ TEST(EngineFreeze, SessionsAreIsolatedFromFurtherTraining) {
 
 TEST(EngineConfig, OverridesAreValidatedAndVisible) {
   Engine::Options options;
-  options.config_overrides = {{"SPTX_PREFETCH", "0"},
+  options.config_overrides = {{"SPTX_DDP_PLAN_CACHE", "0"},
                               {"SPTX_FUSED", "off"}};
   options.install_process_config = false;
   Engine engine(options);
-  EXPECT_FALSE(engine.config().flag_or("SPTX_PREFETCH", true));
-  EXPECT_EQ(engine.config().value_or("SPTX_FUSED", ""), "off");
-  EXPECT_EQ(engine.config().origin("SPTX_PREFETCH"),
+  EXPECT_FALSE(engine.config().flag_or("SPTX_DDP_PLAN_CACHE", true));
+  EXPECT_FALSE(engine.config().flag_or("SPTX_FUSED", true));
+  EXPECT_EQ(engine.config().origin("SPTX_DDP_PLAN_CACHE"),
             ConfigOrigin::kOverride);
 
   Engine::Options bad;
   bad.config_overrides = {{"SPTX_TYPO", "1"}};
   EXPECT_THROW(Engine{bad}, Error);
+  // A deleted knob is an unknown name, not a silently ignored override.
+  Engine::Options deleted;
+  deleted.config_overrides = {{"SPTX_PREFETCH", "0"}};
+  EXPECT_THROW(Engine{deleted}, Error);
 }
 
 TEST(EngineModel, RequiresCreateBeforeUse) {

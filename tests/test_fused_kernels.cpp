@@ -226,7 +226,7 @@ TEST(FusedKernels, CounterProvesDispatch) {
   const models::ModelConfig cfg = small_config(models::Dissimilarity::kL2);
   const Batches b = make_batches(kN, kR, 19, 16);
   {
-    config::ScopedOverride fused("SPTX_FUSED", "auto");
+    config::ScopedOverride fused("SPTX_FUSED", "on");
     auto model = fresh("TransE", kN, kR, cfg, 3);
     profiling::CounterWindow window(profiling::Counter::kFusedBatches);
     model->loss(b.pos, b.neg).backward();
@@ -240,8 +240,8 @@ TEST(FusedKernels, CounterProvesDispatch) {
     EXPECT_EQ(window.elapsed(), 0);
   }
   {
-    // Families without fused kernels fall back silently under auto.
-    config::ScopedOverride fused("SPTX_FUSED", "auto");
+    // Families without fused kernels fall back silently when on.
+    config::ScopedOverride fused("SPTX_FUSED", "on");
     auto model = fresh("DistMult", kN, kR, cfg, 3);
     profiling::CounterWindow window(profiling::Counter::kFusedBatches);
     model->loss(b.pos, b.neg).backward();

@@ -44,7 +44,7 @@ TEST(RuntimeConfigSpecs, TableIsSane) {
     }
   }
   EXPECT_TRUE(names.count("SPTX_FUSED"));
-  EXPECT_TRUE(names.count("SPTX_PREFETCH"));
+  EXPECT_FALSE(names.count("SPTX_PREFETCH"));  // deleted with its field
   EXPECT_TRUE(names.count("SPTX_DDP_WORKERS"));
   EXPECT_TRUE(names.count("SPTX_SERVE_MICROBATCH"));
 }
@@ -61,26 +61,26 @@ TEST(RuntimeConfigFlags, ParsingIsCaseInsensitive) {
 
 TEST(RuntimeConfig, TriStateKnobsKeepTheCallersFallback) {
   const RuntimeConfig rc;  // defaults only
-  EXPECT_FALSE(rc.is_set("SPTX_PREFETCH"));
-  EXPECT_TRUE(rc.flag_or("SPTX_PREFETCH", true));
-  EXPECT_FALSE(rc.flag_or("SPTX_PREFETCH", false));
+  EXPECT_FALSE(rc.is_set("SPTX_DDP_PLAN_CACHE"));
+  EXPECT_TRUE(rc.flag_or("SPTX_DDP_PLAN_CACHE", true));
+  EXPECT_FALSE(rc.flag_or("SPTX_DDP_PLAN_CACHE", false));
   EXPECT_EQ(rc.int_or("SPTX_DDP_WORKERS", 7), 7);
   // Knobs with real defaults resolve to them.
   EXPECT_FALSE(rc.flag_or("SPTX_NO_SIMD", true));
+  EXPECT_TRUE(rc.flag_or("SPTX_FUSED", false));
   EXPECT_DOUBLE_EQ(rc.double_or("SPTX_SCALE", 0.5), 0.01);
-  EXPECT_EQ(rc.value_or("SPTX_FUSED", "x"), "auto");
 }
 
 TEST(RuntimeConfig, FromEnvSnapshotsCurrentEnvironment) {
   ::setenv("SPTX_DDP_WORKERS", "8", 1);
-  ::setenv("SPTX_PREFETCH", "OFF", 1);  // case-insensitive flag
+  ::setenv("SPTX_DDP_PLAN_CACHE", "OFF", 1);  // case-insensitive flag
   const RuntimeConfig rc = RuntimeConfig::from_env();
   ::unsetenv("SPTX_DDP_WORKERS");
-  ::unsetenv("SPTX_PREFETCH");
+  ::unsetenv("SPTX_DDP_PLAN_CACHE");
   // The snapshot holds what the environment said at from_env() time...
   EXPECT_EQ(rc.int_or("SPTX_DDP_WORKERS", 1), 8);
   EXPECT_EQ(rc.origin("SPTX_DDP_WORKERS"), ConfigOrigin::kEnvironment);
-  EXPECT_FALSE(rc.flag_or("SPTX_PREFETCH", true));
+  EXPECT_FALSE(rc.flag_or("SPTX_DDP_PLAN_CACHE", true));
   // ...and a later snapshot no longer sees the unset variables.
   const RuntimeConfig later = RuntimeConfig::from_env();
   EXPECT_FALSE(later.is_set("SPTX_DDP_WORKERS"));
@@ -88,25 +88,37 @@ TEST(RuntimeConfig, FromEnvSnapshotsCurrentEnvironment) {
 
 TEST(RuntimeConfig, MalformedEnvironmentValuesAreIgnored) {
   ::setenv("SPTX_DDP_WORKERS", "not-a-number", 1);
-  ::setenv("SPTX_FUSED", "not-a-mode", 1);
+  ::setenv("SPTX_DDP_MODE", "not-a-mode", 1);
   const RuntimeConfig rc = RuntimeConfig::from_env();
   ::unsetenv("SPTX_DDP_WORKERS");
-  ::unsetenv("SPTX_FUSED");
+  ::unsetenv("SPTX_DDP_MODE");
   EXPECT_FALSE(rc.is_set("SPTX_DDP_WORKERS"));
   EXPECT_EQ(rc.int_or("SPTX_DDP_WORKERS", 3), 3);
-  EXPECT_EQ(rc.value_or("SPTX_FUSED", ""), "auto");
+  EXPECT_FALSE(rc.is_set("SPTX_DDP_MODE"));
+  EXPECT_EQ(rc.value_or("SPTX_DDP_MODE", "threads"), "threads");
 }
 
 TEST(RuntimeConfig, SetValidatesNameTypeAndChoices) {
   RuntimeConfig rc;
   EXPECT_THROW(rc.set("SPTX_NOT_A_KNOB", "1"), Error);
-  EXPECT_THROW(rc.set("SPTX_FUSED", "warp-speed"), Error);
+  EXPECT_THROW(rc.set("SPTX_PREFETCH", "0"), Error);  // deleted knob
+  EXPECT_THROW(rc.set("SPTX_DDP_MODE", "warp-speed"), Error);
   EXPECT_THROW(rc.set("SPTX_DDP_WORKERS", "many"), Error);
-  rc.set("SPTX_FUSED", "OFF");  // case-insensitive enum
-  EXPECT_EQ(rc.origin("SPTX_FUSED"), ConfigOrigin::kOverride);
-  EXPECT_EQ(to_lower(rc.value_or("SPTX_FUSED", "")), "off");
+  rc.set("SPTX_DDP_MODE", "PROCS");  // case-insensitive enum
+  EXPECT_EQ(rc.origin("SPTX_DDP_MODE"), ConfigOrigin::kOverride);
+  EXPECT_EQ(to_lower(rc.value_or("SPTX_DDP_MODE", "")), "procs");
+  rc.clear("SPTX_DDP_MODE");
+  EXPECT_FALSE(rc.is_set("SPTX_DDP_MODE"));
+  EXPECT_EQ(rc.origin("SPTX_DDP_MODE"), ConfigOrigin::kDefault);
+  // SPTX_FUSED is a flag that still takes the old enum spellings.
+  for (const char* on : {"on", "auto", "AUTO", "1"}) {
+    rc.set("SPTX_FUSED", on);
+    EXPECT_FALSE(rc.hot().fused_off) << on;
+  }
+  rc.set("SPTX_FUSED", "OFF");
+  EXPECT_TRUE(rc.hot().fused_off);
   rc.clear("SPTX_FUSED");
-  EXPECT_EQ(rc.value_or("SPTX_FUSED", ""), "auto");
+  EXPECT_FALSE(rc.hot().fused_off);
   EXPECT_EQ(rc.origin("SPTX_FUSED"), ConfigOrigin::kDefault);
 }
 
@@ -129,7 +141,7 @@ TEST(RuntimeConfig, ToJsonRendersEveryKnob) {
                       "\"origin\": \"override\"}"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"SPTX_PREFETCH\": {\"value\": null"),
+  EXPECT_NE(json.find("\"SPTX_DDP_PLAN_CACHE\": {\"value\": null"),
             std::string::npos)
       << json;
 }
@@ -153,7 +165,7 @@ TEST(RuntimeConfig, ConcurrentReadersSeeEachInstallWhole) {
   // of them whole, never a mix.
   RuntimeConfig a = RuntimeConfig::from_env();
   a.set("SPTX_NO_SIMD", "0");
-  a.set("SPTX_FUSED", "auto");
+  a.set("SPTX_FUSED", "on");
   a.set("SPTX_DDP_WORKERS", "1");
   RuntimeConfig b = a;
   b.set("SPTX_NO_SIMD", "1");

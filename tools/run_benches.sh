@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Run the SpMM perf benches and emit machine-readable results, so the
-# kernel-performance trajectory is tracked from PR to PR.
+# Run the SpMM kernel bench and the Fig-2 hotspot profile and emit their
+# artefacts, so the kernel-performance trajectory is tracked from PR to PR.
+# End-to-end training, eval and serving speed claims live in perfbench/
+# (`python3 perfbench/run.py`, full FB15K and YAGO3-10 runs), not here.
 #
 #   tools/run_benches.sh [build_dir] [out_dir]
 #
 # The build directory is configured AND built in Release here (an early
-# BENCH_spmm.json was recorded from a debug build; every bench binary now
-# also stamps its build_type into the JSON it emits, with a loud warning
-# when it is not "release"). An existing build dir with a non-Release
-# CMAKE_BUILD_TYPE is rejected — pass a different build_dir instead of
-# silently mixing configurations.
+# BENCH_spmm.json was recorded from a debug build). An existing build dir
+# with a non-Release CMAKE_BUILD_TYPE is rejected — pass a different
+# build_dir instead of silently mixing configurations.
 #
 # Outputs (in out_dir, default repo root):
 #   BENCH_spmm.json      google-benchmark JSON for bench_ablation_kernels
@@ -17,19 +17,6 @@
 #                        points at pool width 1 and 4)
 #   BENCH_hotspots.txt   bench_fig2_hotspots text artefact (dense-baseline
 #                        profile that motivates the sparse formulation)
-#   BENCH_pipeline.json  bench_pipeline: epoch-1 vs cached-epoch wall time
-#                        per model family, prefetch on/off under shuffle
-#   BENCH_ddp.json       bench_ddp: sharded multi-worker trainer over
-#                        in-memory vs mmap-streamed stores (time, loss,
-#                        sparse all-reduce rows, plan-cache traffic)
-#   BENCH_serve.json     bench_serve: InferenceSession queries/sec,
-#                        1 vs 4 threads, micro-batch coalescing off vs on
-#   BENCH_fused.json     bench_fused: fused (SPTX_FUSED=on) vs autograd
-#                        (off) per-epoch training time for TransE / TransR /
-#                        TorusE on the Fig-2 workload
-#   BENCH_runtime.json   bench_runtime: TaskPool thread scaling (SpMM /
-#                        fused epoch / serve QPS at 1-8 lanes) + serve QPS
-#                        sustained during composed train+serve on one pool
 #
 # Knobs: SPTX_BENCH_MIN_TIME (per-benchmark min time, default 0.2s),
 # SPTX_EPOCHS / SPTX_SCALE forwarded to the hotspot bench as usual.
@@ -74,31 +61,6 @@ if [[ -x "$build_dir/bench_fig2_hotspots" ]]; then
   echo "== Training hotspots -> $out_dir/BENCH_hotspots.txt"
   SPTX_EPOCHS="${SPTX_EPOCHS:-2}" "$build_dir/bench_fig2_hotspots" \
     | tee "$out_dir/BENCH_hotspots.txt"
-fi
-
-if [[ -x "$build_dir/bench_pipeline" ]]; then
-  echo "== BatchPlan pipeline -> $out_dir/BENCH_pipeline.json"
-  "$build_dir/bench_pipeline" > "$out_dir/BENCH_pipeline.json"
-fi
-
-if [[ -x "$build_dir/bench_ddp" ]]; then
-  echo "== Sharded DDP (memory vs streaming) -> $out_dir/BENCH_ddp.json"
-  (cd "$build_dir" && ./bench_ddp) > "$out_dir/BENCH_ddp.json"
-fi
-
-if [[ -x "$build_dir/bench_serve" ]]; then
-  echo "== Inference serving (threads x coalescing) -> $out_dir/BENCH_serve.json"
-  (cd "$build_dir" && ./bench_serve) > "$out_dir/BENCH_serve.json"
-fi
-
-if [[ -x "$build_dir/bench_fused" ]]; then
-  echo "== Fused vs autograd scoring kernels -> $out_dir/BENCH_fused.json"
-  (cd "$build_dir" && ./bench_fused) > "$out_dir/BENCH_fused.json"
-fi
-
-if [[ -x "$build_dir/bench_runtime" ]]; then
-  echo "== Runtime pool (thread scaling + composed) -> $out_dir/BENCH_runtime.json"
-  (cd "$build_dir" && ./bench_runtime) > "$out_dir/BENCH_runtime.json"
 fi
 
 echo "done."
