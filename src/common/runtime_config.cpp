@@ -19,10 +19,11 @@ constexpr ConfigSpec kSpecs[] = {
      "Force the scalar SpMM kernels even when cpuid reports AVX2+FMA "
      "(kernel-equivalence testing, perf triage)."},
     {"SPTX_FUSED", ConfigType::kFlag, "1",
-     "Fused forward+backward scoring kernels (src/kernels): on (the "
-     "default) uses the single-pass fused path for every family that "
-     "provides it, off keeps the legacy autograd graph (bit-identical to "
-     "the historical path)."},
+     "Training graph of the families with fused kernels (src/kernels): on "
+     "(the default) trains through the single-pass fused forward+backward "
+     "node, off through the legacy autograd graph (bit-identical to the "
+     "historical path). Scoring (eval, serving) always uses the fused "
+     "forward kernels."},
     {"SPTX_DDP_WORKERS", ConfigType::kInt, "",
      "Override DdpConfig::workers: thread-backed data-parallel worker "
      "count."},

@@ -1,5 +1,6 @@
 #include "src/eval/candidates.hpp"
 
+#include <algorithm>
 #include <limits>
 
 namespace sptx::eval {
@@ -35,6 +36,26 @@ std::vector<float> score_candidates(const models::KgeModel& model,
   for (index_t e = 0; e < n; ++e)
     candidates[static_cast<std::size_t>(e)] = query.candidate(e);
   return model.score(candidates);
+}
+
+std::vector<float> score_candidates(const models::KgeModel& model,
+                                    const CandidateQuery& query,
+                                    std::span<const index_t> ids) {
+  // 512 triplets ≈ 12 KB of staging — resident in L1/L2 alongside the rows
+  // the scorer gathers, and no per-query heap allocation for them.
+  constexpr std::size_t kBlock = 512;
+  Triplet block[kBlock];
+  std::vector<float> scores(ids.size());
+  for (std::size_t offset = 0; offset < ids.size(); offset += kBlock) {
+    const std::size_t n = std::min(kBlock, ids.size() - offset);
+    for (std::size_t i = 0; i < n; ++i)
+      block[i] = query.candidate(ids[offset + i]);
+    const std::vector<float> s =
+        model.score(std::span<const Triplet>(block, n));
+    std::copy(s.begin(), s.end(),
+              scores.begin() + static_cast<std::ptrdiff_t>(offset));
+  }
+  return scores;
 }
 
 double filtered_rank(std::span<const float> scores, const CandidateQuery& query,

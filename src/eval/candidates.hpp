@@ -77,6 +77,15 @@ class KnownTriplets {
 std::vector<float> score_candidates(const models::KgeModel& model,
                                     const CandidateQuery& query);
 
+/// Model scores of the candidates `ids` of `query` (scores[i] for ids[i]),
+/// e.g. an ANN candidate set. The triplets are staged in fixed-size stack
+/// blocks and scored block by block; since score() is element-pure per
+/// row, each score is bit-identical to the same entity's in the all-N
+/// overload.
+std::vector<float> score_candidates(const models::KgeModel& model,
+                                    const CandidateQuery& query,
+                                    std::span<const index_t> ids);
+
 /// Filtered optimistic-average rank of candidate `truth` among `scores`
 /// (the output of score_candidates for `query`): 1 + #strictly better +
 /// #ties/2, where the truth itself and every candidate in `known` are no

@@ -903,23 +903,4 @@ void transd_backward(std::span<const Triplet> batch, const Matrix& entities,
   profiling::count_flops(24 * static_cast<std::int64_t>(batch.size()) * d);
 }
 
-void rerank_candidates(bool corrupt_tail, std::int64_t anchor,
-                       std::int64_t relation,
-                       std::span<const index_t> candidates,
-                       const ScoreBlockFn& score_block, float* scores) {
-  // 512 triplets ≈ 12 KB of staging — resident in L1/L2 alongside the rows
-  // the scorer gathers, and no per-query heap allocation.
-  constexpr std::size_t kBlock = 512;
-  Triplet block[kBlock];
-  for (std::size_t offset = 0; offset < candidates.size(); offset += kBlock) {
-    const std::size_t n = std::min(kBlock, candidates.size() - offset);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t e = candidates[offset + i];
-      block[i] = corrupt_tail ? Triplet{anchor, relation, e}
-                              : Triplet{e, relation, anchor};
-    }
-    score_block(std::span<const Triplet>(block, n), scores + offset);
-  }
-}
-
 }  // namespace sptx::kernels

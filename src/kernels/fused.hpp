@@ -14,10 +14,12 @@
 //
 // Everything is AVX2/FMA with a scalar fallback, dispatched at runtime per
 // batch via the same cpuid probe as the SpMM engine (cpu_features.hpp;
-// SPTX_NO_SIMD forces scalar). The models layer wires these in behind the
-// SPTX_FUSED registry flag: `off` keeps the legacy autograd graph (bit
-// identical to the historical path), on (the default) uses the fused
-// kernels for every family that provides them.
+// SPTX_NO_SIMD forces scalar). Every family that provides kernels scores
+// through its *_forward kernel alone (KgeModel::score, so evaluation and
+// serving), whatever SPTX_FUSED says. The registry flag selects only the
+// training graph: `off` keeps the legacy autograd graph (bit identical to
+// the historical path), on (the default) uses the fused forward+backward
+// pair.
 //
 // Numerical contract: identical formulas and epsilons as the autograd ops
 // they replace (row_l2's 1e-12 denominator clamp, the sign(0) = 0
@@ -33,8 +35,6 @@
 // shared_ptr in the autograd node.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <span>
 
 #include "src/common/runtime_config.hpp"
@@ -49,30 +49,13 @@ namespace sptx::kernels {
 enum class Norm { kL1, kL2 };
 
 /// SPTX_FUSED resolution against the process-wide snapshot (one
-/// pre-resolved field read, RuntimeConfig::hot()): `off` disables the fused
-/// layer, on (the default) enables it wherever a family provides kernels
-/// (the semiring families are already single fused autograd ops, so they
-/// are unaffected either way).
+/// pre-resolved field read, RuntimeConfig::hot()): whether the training
+/// graph uses the fused node (on, the default) or the autograd graph
+/// (`off`). Read only by ScoringCoreModel::run_forward and
+/// SpTransR::recipe (enforced by sptx_lint's fused-dispatch rule); score()
+/// uses the forward kernels under either setting, and the semiring
+/// families are already single fused autograd ops, unaffected either way.
 bool fused_enabled();
-
-// ---- ANN candidate re-rank -------------------------------------------------
-
-/// Exact scorer for one cache-resident block of staged candidate triplets:
-/// writes block.size() scores into the output pointer. Typically a
-/// KgeModel::score wrapper (the kernels layer cannot depend on models).
-using ScoreBlockFn = std::function<void(std::span<const Triplet>, float*)>;
-
-/// Batched exact re-rank of an ANN candidate set: stages the candidate
-/// triplets — (anchor, relation, candidates[i]) when `corrupt_tail`,
-/// (candidates[i], relation, anchor) otherwise — in fixed-size stack blocks
-/// and streams them through `score_block`, writing scores[i] for
-/// candidates[i]. Because every family's score() is element-pure per row,
-/// the result is bit-identical to scoring the full N-entity candidate batch
-/// and gathering the same rows, without ever materializing it.
-void rerank_candidates(bool corrupt_tail, std::int64_t anchor,
-                       std::int64_t relation,
-                       std::span<const index_t> candidates,
-                       const ScoreBlockFn& score_block, float* scores);
 
 // ---- Stacked-table families ------------------------------------------------
 // table is the [entities; relations] stack ((N+R) × d, relations offset by

@@ -70,12 +70,11 @@ class TripletStore {
     return triplets_[static_cast<std::size_t>(i)];
   }
 
+  /// Append `t`; an out-of-range triplet throws and leaves the store as it
+  /// was.
   void add(Triplet t) {
+    check(t);
     triplets_.push_back(t);
-    SPTX_CHECK(t.head < num_entities_ && t.tail < num_entities_ &&
-                   t.relation < num_relations_ && t.head >= 0 && t.tail >= 0 &&
-                   t.relation >= 0,
-               "triplet out of range");
   }
 
   /// Contiguous sub-span [begin, begin+count) for minibatching.
@@ -86,14 +85,16 @@ class TripletStore {
   }
 
  private:
+  void check(const Triplet& t) const {
+    SPTX_CHECK(t.head >= 0 && t.head < num_entities_ && t.tail >= 0 &&
+                   t.tail < num_entities_ && t.relation >= 0 &&
+                   t.relation < num_relations_,
+               "triplet out of range: h=" << t.head << " r=" << t.relation
+                                          << " t=" << t.tail);
+  }
+
   void validate() const {
-    for (const Triplet& t : triplets_) {
-      SPTX_CHECK(t.head >= 0 && t.head < num_entities_ && t.tail >= 0 &&
-                     t.tail < num_entities_ && t.relation >= 0 &&
-                     t.relation < num_relations_,
-                 "triplet out of range: h=" << t.head << " r=" << t.relation
-                                            << " t=" << t.tail);
-    }
+    for (const Triplet& t : triplets_) check(t);
   }
 
   std::int64_t num_entities_ = 0;

@@ -188,7 +188,8 @@ class KgeModel {
 /// forward() returns a ranking-ready (M×1) column — distance-like, lower =
 /// more plausible; similarity models negate inside their core so one
 /// margin-ranking loss drives every family. score() keeps each model's
-/// natural sign for evaluation (see higher_is_better).
+/// natural sign for evaluation (see higher_is_better); a family with fused
+/// kernels implements it as its kernels::*_forward call alone.
 class ScoringCoreModel : public KgeModel {
  public:
   /// Which incidence structures forward() consumes. Drives plan
@@ -210,10 +211,12 @@ class ScoringCoreModel : public KgeModel {
     return {};
   }
 
-  /// The dispatch every consumer goes through: fused_forward() when the
-  /// SPTX_FUSED registry flag allows it (on, the default) and the
-  /// family provides kernels, the autograd-graph forward() otherwise
-  /// (SPTX_FUSED=off keeps the historical path bit-identical).
+  /// The training-graph dispatch every autograd consumer goes through:
+  /// fused_forward() when the SPTX_FUSED registry flag allows it (on, the
+  /// default) and the family provides kernels, the autograd-graph forward()
+  /// otherwise (SPTX_FUSED=off keeps the historical path bit-identical).
+  /// score() never comes here: the fused families score through their
+  /// forward kernel under either setting.
   autograd::Variable run_forward(const sparse::CompiledBatch& batch);
 
   /// Span path: compiles an ephemeral plan, then runs the core. Kept for

@@ -1,7 +1,5 @@
 #include "src/models/sp_extra.hpp"
 
-#include <cmath>
-
 #include "src/kernels/fused.hpp"
 #include "src/models/sp_transr.hpp"  // build_relation_selection_csr
 #include "src/profiling/timer.hpp"
@@ -112,41 +110,9 @@ autograd::Variable SpTransD::fused_forward(const sparse::CompiledBatch& batch) {
 
 std::vector<float> SpTransD::score(std::span<const Triplet> batch) const {
   std::vector<float> out(batch.size());
-  if (kernels::fused_enabled()) {
-    kernels::transd_forward(batch, entities_.weights(),
-                            entity_proj_.weights(), relations_.weights(),
-                            relation_proj_.weights(),
-                            fused_norm(config_.dissimilarity), out.data());
-    return out;
-  }
-  const Matrix& e = entities_.weights();
-  const Matrix& ep = entity_proj_.weights();
-  const Matrix& r = relations_.weights();
-  const Matrix& rp = relation_proj_.weights();
-  const index_t d = config_.dim;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = e.row(t.head);
-    const float* tl = e.row(t.tail);
-    const float* hp = ep.row(t.head);
-    const float* tp = ep.row(t.tail);
-    const float* rv = r.row(t.relation);
-    const float* rpv = rp.row(t.relation);
-    float hdot = 0.0f, tdot = 0.0f;
-    for (index_t j = 0; j < d; ++j) {
-      hdot += hp[j] * h[j];
-      tdot += tp[j] * tl[j];
-    }
-    const float s = hdot - tdot;
-    float acc = 0.0f;
-    for (index_t j = 0; j < d; ++j) {
-      const float v = (h[j] - tl[j]) + rv[j] + s * rpv[j];
-      acc += config_.dissimilarity == Dissimilarity::kL2 ? v * v
-                                                         : std::fabs(v);
-    }
-    out[i] =
-        config_.dissimilarity == Dissimilarity::kL2 ? std::sqrt(acc) : acc;
-  }
+  kernels::transd_forward(batch, entities_.weights(), entity_proj_.weights(),
+                          relations_.weights(), relation_proj_.weights(),
+                          fused_norm(config_.dissimilarity), out.data());
   return out;
 }
 
@@ -209,27 +175,8 @@ autograd::Variable SpTransA::fused_forward(const sparse::CompiledBatch& batch) {
 
 std::vector<float> SpTransA::score(std::span<const Triplet> batch) const {
   std::vector<float> out(batch.size());
-  if (kernels::fused_enabled()) {
-    kernels::transa_forward(batch, ent_rel_.weights(), metric_.weights(),
-                            num_entities_, out.data());
-    return out;
-  }
-  const Matrix& e = ent_rel_.weights();
-  const Matrix& w = metric_.weights();
-  const index_t d = e.cols();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = e.row(t.head);
-    const float* r = e.row(num_entities_ + t.relation);
-    const float* tl = e.row(t.tail);
-    const float* wr = w.row(t.relation);
-    float acc = 0.0f;
-    for (index_t j = 0; j < d; ++j) {
-      const float v = h[j] + r[j] - tl[j];
-      acc += wr[j] * v * v;
-    }
-    out[i] = acc;
-  }
+  kernels::transa_forward(batch, ent_rel_.weights(), metric_.weights(),
+                          num_entities_, out.data());
   return out;
 }
 
@@ -295,25 +242,8 @@ autograd::Variable SpTransC::fused_forward(const sparse::CompiledBatch& batch) {
 
 std::vector<float> SpTransC::score(std::span<const Triplet> batch) const {
   std::vector<float> out(batch.size());
-  if (kernels::fused_enabled()) {
-    kernels::transc_forward(batch, ent_rel_.weights(), num_entities_,
-                            out.data());
-    return out;
-  }
-  const Matrix& e = ent_rel_.weights();
-  const index_t d = e.cols();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = e.row(t.head);
-    const float* r = e.row(num_entities_ + t.relation);
-    const float* tl = e.row(t.tail);
-    float acc = 0.0f;
-    for (index_t j = 0; j < d; ++j) {
-      const float v = h[j] + r[j] - tl[j];
-      acc += v * v;
-    }
-    out[i] = acc;
-  }
+  kernels::transc_forward(batch, ent_rel_.weights(), num_entities_,
+                          out.data());
   return out;
 }
 
@@ -387,32 +317,9 @@ autograd::Variable SpTransM::fused_forward(const sparse::CompiledBatch& batch) {
 
 std::vector<float> SpTransM::score(std::span<const Triplet> batch) const {
   std::vector<float> out(batch.size());
-  if (kernels::fused_enabled()) {
-    kernels::transm_forward(batch, ent_rel_.weights(), rel_weight_.weights(),
-                            num_entities_, fused_norm(config_.dissimilarity),
-                            out.data());
-    return out;
-  }
-  const Matrix& e = ent_rel_.weights();
-  const Matrix& w = rel_weight_.weights();
-  const index_t d = e.cols();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = e.row(t.head);
-    const float* r = e.row(num_entities_ + t.relation);
-    const float* tl = e.row(t.tail);
-    float acc = 0.0f;
-    if (config_.dissimilarity == Dissimilarity::kL2) {
-      for (index_t j = 0; j < d; ++j) {
-        const float v = h[j] + r[j] - tl[j];
-        acc += v * v;
-      }
-      acc = std::sqrt(acc);
-    } else {
-      for (index_t j = 0; j < d; ++j) acc += std::fabs(h[j] + r[j] - tl[j]);
-    }
-    out[i] = w.at(t.relation, 0) * acc;
-  }
+  kernels::transm_forward(batch, ent_rel_.weights(), rel_weight_.weights(),
+                          num_entities_, fused_norm(config_.dissimilarity),
+                          out.data());
   return out;
 }
 

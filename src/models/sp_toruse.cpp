@@ -53,28 +53,8 @@ autograd::Variable SpTorusE::fused_forward(const sparse::CompiledBatch& batch) {
 
 std::vector<float> SpTorusE::score(std::span<const Triplet> batch) const {
   std::vector<float> out(batch.size());
-  if (kernels::fused_enabled()) {
-    kernels::toruse_forward(batch, ent_rel_.weights(), num_entities_,
-                            fused_norm(config_.dissimilarity),
-                            out.data());
-    return out;
-  }
-  const Matrix& e = ent_rel_.weights();
-  const index_t d = e.cols();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = e.row(t.head);
-    const float* r = e.row(num_entities_ + t.relation);
-    const float* tl = e.row(t.tail);
-    float acc = 0.0f;
-    for (index_t j = 0; j < d; ++j) {
-      const float x = h[j] + r[j] - tl[j];
-      const float f = x - std::floor(x);
-      const float m = f < 0.5f ? f : 1.0f - f;
-      acc += config_.dissimilarity == Dissimilarity::kL2 ? m * m : m;
-    }
-    out[i] = acc;
-  }
+  kernels::toruse_forward(batch, ent_rel_.weights(), num_entities_,
+                          fused_norm(config_.dissimilarity), out.data());
   return out;
 }
 

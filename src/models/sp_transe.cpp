@@ -1,7 +1,5 @@
 #include "src/models/sp_transe.hpp"
 
-#include <cmath>
-
 #include "src/kernels/fused.hpp"
 #include "src/profiling/timer.hpp"
 #include "src/sparse/incidence.hpp"
@@ -47,30 +45,8 @@ autograd::Variable SpTransE::fused_forward(const sparse::CompiledBatch& batch) {
 
 std::vector<float> SpTransE::score(std::span<const Triplet> batch) const {
   std::vector<float> out(batch.size());
-  if (kernels::fused_enabled()) {
-    kernels::transe_forward(batch, ent_rel_.weights(), num_entities_,
-                            fused_norm(config_.dissimilarity), out.data());
-    return out;
-  }
-  const Matrix& e = ent_rel_.weights();
-  const index_t d = e.cols();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = e.row(t.head);
-    const float* r = e.row(num_entities_ + t.relation);
-    const float* tl = e.row(t.tail);
-    float acc = 0.0f;
-    if (config_.dissimilarity == Dissimilarity::kL2) {
-      for (index_t j = 0; j < d; ++j) {
-        const float v = h[j] + r[j] - tl[j];
-        acc += v * v;
-      }
-      out[i] = std::sqrt(acc);
-    } else {
-      for (index_t j = 0; j < d; ++j) acc += std::fabs(h[j] + r[j] - tl[j]);
-      out[i] = acc;
-    }
-  }
+  kernels::transe_forward(batch, ent_rel_.weights(), num_entities_,
+                          fused_norm(config_.dissimilarity), out.data());
   return out;
 }
 

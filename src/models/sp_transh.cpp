@@ -1,7 +1,5 @@
 #include "src/models/sp_transh.hpp"
 
-#include <cmath>
-
 #include "src/kernels/fused.hpp"
 #include "src/models/sp_transr.hpp"  // build_relation_selection_csr
 #include "src/profiling/timer.hpp"
@@ -67,34 +65,9 @@ autograd::Variable SpTransH::fused_forward(const sparse::CompiledBatch& batch) {
 
 std::vector<float> SpTransH::score(std::span<const Triplet> batch) const {
   std::vector<float> out(batch.size());
-  if (kernels::fused_enabled()) {
-    kernels::transh_forward(batch, entities_.weights(), normals_.weights(),
-                            transfers_.weights(),
-                            fused_norm(config_.dissimilarity),
-                            out.data());
-    return out;
-  }
-  const Matrix& e = entities_.weights();
-  const Matrix& wn = normals_.weights();
-  const Matrix& dt = transfers_.weights();
-  const index_t d = config_.dim;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = e.row(t.head);
-    const float* tl = e.row(t.tail);
-    const float* w = wn.row(t.relation);
-    const float* dr = dt.row(t.relation);
-    float wdot = 0.0f;
-    for (index_t j = 0; j < d; ++j) wdot += w[j] * (h[j] - tl[j]);
-    float acc = 0.0f;
-    for (index_t j = 0; j < d; ++j) {
-      const float v = (h[j] - tl[j]) + dr[j] - wdot * w[j];
-      acc += config_.dissimilarity == Dissimilarity::kL2 ? v * v
-                                                         : std::fabs(v);
-    }
-    out[i] =
-        config_.dissimilarity == Dissimilarity::kL2 ? std::sqrt(acc) : acc;
-  }
+  kernels::transh_forward(batch, entities_.weights(), normals_.weights(),
+                          transfers_.weights(),
+                          fused_norm(config_.dissimilarity), out.data());
   return out;
 }
 

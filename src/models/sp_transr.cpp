@@ -1,6 +1,5 @@
 #include "src/models/sp_transr.hpp"
 
-#include <cmath>
 #include <memory>
 
 #include "src/kernels/fused.hpp"
@@ -80,40 +79,10 @@ autograd::Variable SpTransR::fused_forward(const sparse::CompiledBatch& batch) {
 
 std::vector<float> SpTransR::score(std::span<const Triplet> batch) const {
   std::vector<float> out(batch.size());
-  if (kernels::fused_enabled()) {
-    kernels::transr_forward(nullptr, batch, entities_.weights(),
-                            relations_.weights(), projections_.weights(),
-                            config_.rel_dim,
-                            fused_norm(config_.dissimilarity),
-                            out.data(), nullptr);
-    return out;
-  }
-  const Matrix& e = entities_.weights();
-  const Matrix& r = relations_.weights();
-  const Matrix& m = projections_.weights();
-  const index_t de = config_.dim;
-  const index_t dr = config_.rel_dim;
-  std::vector<float> diff(static_cast<std::size_t>(de));
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = e.row(t.head);
-    const float* tl = e.row(t.tail);
-    for (index_t j = 0; j < de; ++j)
-      diff[static_cast<std::size_t>(j)] = h[j] - tl[j];
-    const float* rv = r.row(t.relation);
-    float acc = 0.0f;
-    for (index_t p = 0; p < dr; ++p) {
-      const float* mrow = m.row(t.relation * dr + p);
-      float proj = 0.0f;
-      for (index_t q = 0; q < de; ++q)
-        proj += mrow[q] * diff[static_cast<std::size_t>(q)];
-      const float v = proj + rv[p];
-      acc += config_.dissimilarity == Dissimilarity::kL2 ? v * v
-                                                         : std::fabs(v);
-    }
-    out[i] =
-        config_.dissimilarity == Dissimilarity::kL2 ? std::sqrt(acc) : acc;
-  }
+  kernels::transr_forward(nullptr, batch, entities_.weights(),
+                          relations_.weights(), projections_.weights(),
+                          config_.rel_dim, fused_norm(config_.dissimilarity),
+                          out.data(), /*expr_stash=*/nullptr);
   return out;
 }
 

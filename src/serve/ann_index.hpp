@@ -8,7 +8,7 @@
 // primitives); a query then ranks the k centroids under the model family's
 // probe geometry (models::AnnSupport), scans only the members of the top
 // `nprobe` lists, and exact-re-ranks that candidate union through the
-// model's own score path (kernels::rerank_candidates). Only the CANDIDATE
+// model's own score path (eval::score_candidates). Only the CANDIDATE
 // SET is approximate — every returned score is bit-identical to what the
 // brute-force scan would have produced for the same entity, and probing
 // all k lists returns exactly the brute-force result set.

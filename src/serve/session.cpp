@@ -255,30 +255,32 @@ std::vector<Prediction> InferenceSession::top_impl(bool corrupt_tail,
     const int nprobe = options_.ann_nprobe > 0
                            ? options_.ann_nprobe
                            : AnnIndex::auto_nprobe(ann.k_lists());
+    const auto want = static_cast<std::size_t>(std::max(k, 0));
     std::vector<index_t> ids;
-    ann.probe(q.data(), probe, nprobe,
-              static_cast<index_t>(std::max(k, 0)), ids);
-    std::vector<float> scores(ids.size());
-    kernels::rerank_candidates(
-        corrupt_tail, anchor, relation, ids,
-        [&model](std::span<const Triplet> block, float* out) {
-          const std::vector<float> s = model.score(block);
-          std::copy(s.begin(), s.end(), out);
-        },
-        scores.data());
-    triplets_scored_.fetch_add(static_cast<std::int64_t>(ids.size()),
-                               std::memory_order_relaxed);
-    ann_candidates_.fetch_add(static_cast<std::int64_t>(ids.size()),
-                              std::memory_order_relaxed);
+    // The filter can reject most of the nearest lists' members: re-probe
+    // twice as wide until k candidates survive it or every list is scanned.
+    for (int lists = nprobe;;) {
+      const int probed = ann.probe(q.data(), probe, lists,
+                                   static_cast<index_t>(want), ids);
+      const std::vector<float> scores =
+          eval::score_candidates(model, query, ids);
+      triplets_scored_.fetch_add(static_cast<std::int64_t>(ids.size()),
+                                 std::memory_order_relaxed);
+      ann_candidates_.fetch_add(static_cast<std::int64_t>(ids.size()),
+                                std::memory_order_relaxed);
+      profiling::count_event(profiling::Counter::kAnnCandidates,
+                             static_cast<std::int64_t>(ids.size()));
+      candidates.clear();
+      candidates.reserve(ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (known_.contains(query.candidate(ids[i]))) continue;
+        candidates.push_back({ids[i], scores[i]});
+      }
+      if (candidates.size() >= want || probed >= ann.k_lists()) break;
+      lists = 2 * probed;
+    }
     topk_ann_.fetch_add(1, std::memory_order_relaxed);
     profiling::count_event(profiling::Counter::kAnnTopkQueries);
-    profiling::count_event(profiling::Counter::kAnnCandidates,
-                           static_cast<std::int64_t>(ids.size()));
-    candidates.reserve(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (known_.contains(query.candidate(ids[i]))) continue;
-      candidates.push_back({ids[i], scores[i]});
-    }
   } else {
     const std::vector<float> scores = candidate_scores(model, query);
     topk_brute_.fetch_add(1, std::memory_order_relaxed);

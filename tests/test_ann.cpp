@@ -298,5 +298,49 @@ TEST(AnnDispatch, FilterStillExcludesKnownPositivesOnAnnPath) {
     EXPECT_NE(p.entity, first[0].entity);
 }
 
+TEST(AnnDispatch, FilteredTopKWidensProbeUntilKSurvive) {
+  // The filter holds the 570 best tails of (0, 0, ?), so the lists nearest
+  // the probe are almost all known positives: the probe must keep widening
+  // until k unfiltered candidates are found, not stop at nprobe lists.
+  constexpr index_t kSmall = 600;
+  constexpr std::size_t kKnown = 570;
+  models::ModelSpec spec;
+  spec.family = "TransE";
+  spec.config.dim = kDim;
+  spec.seed = 23;
+  const std::shared_ptr<const models::KgeModel> model =
+      models::make_model(spec, kSmall, kRelations);
+  const auto ranked = open(model, serve::AnnMode::kOff)
+                          ->top_tails(0, 0, static_cast<int>(kSmall));
+  ASSERT_EQ(ranked.size(), static_cast<std::size_t>(kSmall));
+  TripletStore known(kSmall, kRelations, {});
+  for (std::size_t i = 0; i < kKnown; ++i)
+    known.add({0, 0, ranked[i].entity});
+
+  serve::SessionOptions so;
+  so.filter = &known;
+  so.ann = serve::AnnMode::kOff;
+  const auto brute = std::make_shared<serve::InferenceSession>(model, so);
+  for (const int k : {10, 50}) {
+    const auto expect = brute->top_tails(0, 0, k);
+    ASSERT_EQ(expect.size(),
+              std::min<std::size_t>(static_cast<std::size_t>(k),
+                                    kSmall - kKnown));
+    for (const int nprobe : {1, 2, 4}) {
+      so.ann = serve::AnnMode::kOn;
+      so.ann_nprobe = nprobe;
+      const auto ann = std::make_shared<serve::InferenceSession>(model, so);
+      ASSERT_NE(ann->snapshot()->ann, nullptr);
+      const auto got = ann->top_tails(0, 0, k);
+      ASSERT_EQ(got.size(), expect.size()) << "k " << k << " nprobe "
+                                           << nprobe;
+      for (std::size_t i = 0; i < kKnown; ++i)
+        for (const auto& p : got)
+          ASSERT_NE(p.entity, ranked[i].entity) << "known tail returned";
+      EXPECT_EQ(ann->stats().topk_ann, 1);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sptx

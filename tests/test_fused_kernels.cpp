@@ -4,6 +4,8 @@
 //    11 model families (FP tolerance — SIMD reorders additions);
 //  * finite-difference gradcheck of the fused path's analytic gradients;
 //  * SPTX_FUSED=off bit-identity with a hand-composed legacy graph;
+//  * score() is bit-identical under SPTX_FUSED=on and off (it is the
+//    forward kernel alone) and within FP tolerance of distance();
 //  * the kFusedBatches counter proves which path actually ran;
 //  * steady-state training through the fused path performs zero tracked
 //    heap allocations (the Workspace-pool property of the legacy path).
@@ -251,7 +253,10 @@ TEST(FusedKernels, CounterProvesDispatch) {
 
 // ---- score() dispatch --------------------------------------------------
 
-TEST(FusedKernels, ScorePathMatchesLegacyScore) {
+TEST(FusedKernels, ScoreMatchesAutogradDistanceUnderEitherFlag) {
+  // score() is the family's forward kernel alone: SPTX_FUSED, which selects
+  // only the training graph, must not change a single bit of it, and it
+  // must agree with the autograd graph's distance() column.
   constexpr index_t kN = 40, kR = 5;
   const Batches b = make_batches(kN, kR, 23, 48);
   for (const char* name : kFusedModels) {
@@ -259,19 +264,26 @@ TEST(FusedKernels, ScorePathMatchesLegacyScore) {
          {models::Dissimilarity::kL2, models::Dissimilarity::kL1}) {
       const models::ModelConfig cfg = small_config(diss);
       auto model = fresh(name, kN, kR, cfg, 5);
-      std::vector<float> legacy, fused;
+      auto* scoring = dynamic_cast<models::ScoringCoreModel*>(model.get());
+      ASSERT_NE(scoring, nullptr) << name;
+      std::vector<float> score_off, score_on;
+      Matrix reference;
       {
         config::ScopedOverride off("SPTX_FUSED", "off");
-        legacy = model->score(b.pos);
+        score_off = model->score(b.pos);
+        reference = scoring->distance(b.pos).value();
       }
       {
         config::ScopedOverride on("SPTX_FUSED", "on");
-        fused = model->score(b.pos);
+        score_on = model->score(b.pos);
       }
-      ASSERT_EQ(legacy.size(), fused.size()) << name;
-      for (std::size_t i = 0; i < legacy.size(); ++i) {
-        EXPECT_NEAR(fused[i], legacy[i],
-                    1e-4f * (1.0f + std::fabs(legacy[i])))
+      ASSERT_EQ(score_on.size(), b.pos.size()) << name;
+      ASSERT_EQ(reference.rows(), static_cast<index_t>(b.pos.size())) << name;
+      for (std::size_t i = 0; i < score_on.size(); ++i) {
+        EXPECT_EQ(score_on[i], score_off[i]) << name << " row " << i;
+        const float expected = reference.at(static_cast<index_t>(i), 0);
+        EXPECT_NEAR(score_on[i], expected,
+                    1e-4f * (1.0f + std::fabs(expected)))
             << name << " row " << i;
       }
     }

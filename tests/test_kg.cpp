@@ -20,6 +20,17 @@ TEST(TripletStore, ValidatesRanges) {
   EXPECT_EQ(ok.size(), 1);
 }
 
+TEST(TripletStore, RejectedAddLeavesStoreUnchanged) {
+  TripletStore store(3, 2, {{0, 0, 1}});
+  EXPECT_THROW(store.add({0, 0, 3}), Error);
+  EXPECT_THROW(store.add({-1, 1, 2}), Error);
+  EXPECT_THROW(store.add({1, 2, 2}), Error);
+  EXPECT_EQ(store.size(), 1);
+  store.add({2, 1, 0});
+  ASSERT_EQ(store.size(), 2);
+  EXPECT_EQ(store[1].head, 2);
+}
+
 TEST(TripletStore, SliceBounds) {
   TripletStore store(4, 2, {{0, 0, 1}, {1, 1, 2}, {2, 0, 3}});
   auto s = store.slice(1, 2);

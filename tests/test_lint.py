@@ -364,6 +364,40 @@ class ConfigLifetimeRule(unittest.TestCase):
             self.assertEqual(lint(root, "config-lifetime"), [])
 
 
+class FusedDispatchRule(unittest.TestCase):
+    def test_flags_score_path_branching_on_the_flag(self):
+        files = {
+            "src/models/sp_transe.cpp":
+                "std::vector<float> SpTransE::score(Span b) const {\n"
+                "  if (kernels::fused_enabled()) return fast(b);\n"
+                "  return slow(b);\n}\n",
+            "bench/bench_eval.cpp": "const bool f = fused_enabled();\n",
+        }
+        with FixtureTree(files) as root:
+            found = lint(root, "fused-dispatch")
+        self.assertEqual(len(found), 2)
+        self.assertIn("fused-dispatch", found[0])
+        self.assertIn("sp_transe.cpp:2", found[0])
+        self.assertIn("bench_eval.cpp:1", found[1])
+
+    def test_training_dispatch_definition_and_comments_are_clean(self):
+        files = {
+            "src/models/scoring_core.cpp":
+                "if (kernels::fused_enabled()) { return fused; }\n",
+            "src/models/sp_transr.cpp":
+                "r.relation_groups = kernels::fused_enabled();\n",
+            "src/kernels/fused.hpp": "bool fused_enabled();\n",
+            "src/kernels/fused.cpp":
+                "bool fused_enabled() { return !hot().fused_off; }\n",
+            "src/eval/link_prediction.cpp":
+                "// score() no longer asks fused_enabled()\n"
+                "const bool x = model.fused_enabled_hint();\n",
+            "tests/test_fused.cpp": "EXPECT_TRUE(kernels::fused_enabled());\n",
+        }
+        with FixtureTree(files) as root:
+            self.assertEqual(lint(root, "fused-dispatch"), [])
+
+
 class RealTree(unittest.TestCase):
     def test_actual_repo_is_clean(self):
         root = os.path.join(os.path.dirname(os.path.abspath(__file__)),

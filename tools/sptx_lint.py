@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sptx_lint — repo-invariant checker for the SparseTransX tree.
 
-Nine rules, each guarding a discipline the codebase relies on but no
+Ten rules, each guarding a discipline the codebase relies on but no
 compiler enforces:
 
   env-getenv      std::getenv("SPTX_...") appears only in
@@ -48,6 +48,13 @@ compiler enforces:
                   (auto&, const auto&, const RuntimeConfig&, ...) or passed
                   straight into a call as *config::current() — hold a copy
                   (`const auto snap = config::current();`) and pass *snap.
+  fused-dispatch  kernels::fused_enabled() (SPTX_FUSED) is called only from
+                  src/models/scoring_core.cpp (run_forward) and
+                  src/models/sp_transr.cpp (SpTransR::recipe) in src/,
+                  bench/ and examples/ — the flag selects the training graph
+                  alone, so no scoring, eval or serving path may branch on
+                  it. Its own declaration and definition are exempt; tests
+                  are not scanned.
 
 Exit status 0 when the tree is clean; 1 with one "file:line: rule: message"
 diagnostic per violation otherwise. Registered as the `sptx_lint` ctest and
@@ -431,6 +438,38 @@ class Linter:
                             "the next current() after an install(); hold a "
                             "copy: `const auto snap = config::current();`")
 
+    # -- rule: fused-dispatch ------------------------------------------------
+
+    def check_fused_dispatch(self):
+        """SPTX_FUSED picks the training graph and nothing else.
+
+        score() runs each family's forward kernel under either setting, so
+        the flag's only readers are the training-graph dispatch
+        (ScoringCoreModel::run_forward) and the plan recipe that must match
+        it (SpTransR::recipe's relation groups). `bool fused_enabled(...)`
+        — the declaration and definition — is not a call.
+        """
+        allowed = {os.path.join("src", "models", "scoring_core.cpp"),
+                   os.path.join("src", "models", "sp_transr.cpp")}
+        pattern = re.compile(r"(?<![\w.>])(?:kernels\s*::\s*)?"
+                             r"fused_enabled\s*\(")
+        declaration = re.compile(r"\bbool\s+$")
+        for subdir in ("src", "bench", "examples"):
+            for path in iter_source_files(self.root, subdir):
+                if os.path.relpath(path, self.root) in allowed:
+                    continue
+                for lineno, line in enumerate(
+                        strip_comments(read(path)).splitlines(), 1):
+                    for m in pattern.finditer(line):
+                        if declaration.search(line[:m.start()]):
+                            continue
+                        self.report(
+                            path, lineno, "fused-dispatch",
+                            "fused_enabled() outside run_forward / "
+                            "SpTransR::recipe — SPTX_FUSED selects only the "
+                            "training graph; score through the family's "
+                            "kernels::*_forward unconditionally")
+
     def run(self, rules=None):
         checks = {
             "env-getenv": self.check_getenv,
@@ -442,6 +481,7 @@ class Linter:
             "process-control": self.check_process_control,
             "include-layers": self.check_layers,
             "config-lifetime": self.check_config_lifetime,
+            "fused-dispatch": self.check_fused_dispatch,
         }
         for name, check in checks.items():
             if rules and name not in rules:
