@@ -208,10 +208,10 @@ std::string Engine::health_json() const {
       << ", \"spec\": \"";
   json_escape_into(out, fault::spec());
   out << "\"},\n";
-  // The shared task runtime's gauges: pool mode/width, live queue depth,
-  // steal ratio, and per-class submitted/executed/stolen counts — an
-  // oversubscribed or starved pool is visible from `sptx health` without
-  // attaching a profiler.
+  // The shared task runtime's gauges: pool width, live queue depth, parked
+  // workers, and per-class submitted/executed counts. An oversubscribed or
+  // starved pool is visible from `sptx health` without attaching a
+  // profiler.
   out << "  \"runtime\": " << runtime::TaskPool::instance().stats_json()
       << ",\n";
   // Multi-process DDP: worker liveness, respawn traffic, per-rank heartbeat

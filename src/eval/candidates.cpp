@@ -1,33 +1,8 @@
 #include "src/eval/candidates.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace sptx::eval {
-
-KnownTriplets::KnownTriplets(std::int64_t num_entities,
-                             std::int64_t num_relations, std::size_t expected)
-    : num_entities_(num_entities), num_relations_(num_relations) {
-  SPTX_CHECK(num_entities >= 0 && num_relations >= 0,
-             "negative vocabulary: " << num_entities << " entities, "
-                                     << num_relations << " relations");
-  // Keys range over [0, N·R·N); every one must fit the 64-bit key.
-  const auto n = static_cast<std::uint64_t>(num_entities);
-  const auto r = static_cast<std::uint64_t>(num_relations);
-  SPTX_CHECK(n == 0 || r <= std::numeric_limits<std::uint64_t>::max() / n / n,
-             "known-triplet keys overflow 64 bits at "
-                 << num_entities << " entities x " << num_relations
-                 << " relations");
-  keys_.reserve(expected * 2);
-}
-
-void KnownTriplets::add(std::span<const Triplet> triplets) {
-  for (const Triplet& t : triplets)
-    if (t.head >= 0 && t.head < num_entities_ && t.tail >= 0 &&
-        t.tail < num_entities_ && t.relation >= 0 &&
-        t.relation < num_relations_)
-      keys_.insert(key(t));
-}
 
 std::vector<float> score_candidates(const models::KgeModel& model,
                                     const CandidateQuery& query) {
@@ -60,7 +35,7 @@ std::vector<float> score_candidates(const models::KgeModel& model,
 
 double filtered_rank(std::span<const float> scores, const CandidateQuery& query,
                      std::int64_t truth, bool higher_is_better,
-                     const KnownTriplets& known) {
+                     const kg::KnownTriplets& known) {
   const float truth_score = scores[static_cast<std::size_t>(truth)];
   std::int64_t better = 0, ties = 0;
   for (index_t e = 0; e < static_cast<index_t>(scores.size()); ++e) {

@@ -13,9 +13,9 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
+#include "src/kg/known_triplets.hpp"
 #include "src/kg/triplet.hpp"
 #include "src/models/model.hpp"
 
@@ -33,43 +33,6 @@ struct CandidateQuery {
     return corrupt_tail ? Triplet{anchor, relation, entity}
                         : Triplet{entity, relation, anchor};
   }
-};
-
-/// Exact set of known triplets — the "filtered" protocol's positives.
-/// Membership is decided on a collision-free mixed-radix key
-/// h·(R·N) + r·N + t over the vocabulary fixed at construction, so the
-/// filter stays exact at any id scale the key fits (checked). An empty
-/// filter excludes nothing.
-class KnownTriplets {
- public:
-  KnownTriplets() = default;
-  /// `expected` sizes the table for that many add()ed triplets.
-  KnownTriplets(std::int64_t num_entities, std::int64_t num_relations,
-                std::size_t expected = 0);
-
-  /// Insert every triplet. Ids outside the vocabulary are skipped: no
-  /// candidate can ever name them.
-  void add(std::span<const Triplet> triplets);
-
-  /// `t` must lie in the vocabulary, as every candidate of a validated
-  /// query does (a range check here costs the rank loop ~20%).
-  bool contains(const Triplet& t) const {
-    return !keys_.empty() && keys_.count(key(t)) > 0;
-  }
-
- private:
-  std::uint64_t key(const Triplet& t) const {
-    const auto n = static_cast<std::uint64_t>(num_entities_);
-    const auto r = static_cast<std::uint64_t>(num_relations_);
-    return (static_cast<std::uint64_t>(t.head) * r +
-            static_cast<std::uint64_t>(t.relation)) *
-               n +
-           static_cast<std::uint64_t>(t.tail);
-  }
-
-  std::int64_t num_entities_ = 0;
-  std::int64_t num_relations_ = 0;
-  std::unordered_set<std::uint64_t> keys_;
 };
 
 /// Model scores of all N = model.num_entities() candidates of `query`,
@@ -93,6 +56,6 @@ std::vector<float> score_candidates(const models::KgeModel& model,
 /// pessimistic tie bias.
 double filtered_rank(std::span<const float> scores, const CandidateQuery& query,
                      std::int64_t truth, bool higher_is_better,
-                     const KnownTriplets& known);
+                     const kg::KnownTriplets& known);
 
 }  // namespace sptx::eval

@@ -48,9 +48,9 @@ void for_each_rank(
   SPTX_CHECK(model.num_entities() == dataset.num_entities(),
              "model has " << model.num_entities() << " entities, dataset "
                           << dataset.num_entities());
-  KnownTriplets known;
+  kg::KnownTriplets known;
   if (config.filtered) {
-    known = KnownTriplets(
+    known = kg::KnownTriplets(
         dataset.num_entities(), dataset.num_relations(),
         static_cast<std::size_t>(dataset.train.size() + dataset.valid.size() +
                                  dataset.test.size()));

@@ -11,7 +11,6 @@ NegativeSampler::NegativeSampler(std::int64_t num_entities,
                                  CorruptionScheme scheme)
     : num_entities_(num_entities),
       scheme_(scheme),
-      filtered_(false),
       num_relations_(num_relations) {
   SPTX_CHECK(num_entities_ >= 2, "need at least two entities to corrupt");
   SPTX_CHECK(scheme_ == CorruptionScheme::kUniform,
@@ -23,17 +22,12 @@ NegativeSampler::NegativeSampler(const TripletStore& positives,
                                  CorruptionScheme scheme, bool filtered)
     : num_entities_(positives.num_entities()),
       scheme_(scheme),
-      filtered_(filtered),
       num_relations_(positives.num_relations()) {
   SPTX_CHECK(num_entities_ >= 2, "need at least two entities to corrupt");
-  if (filtered_) {
-    positive_keys_.reserve(static_cast<std::size_t>(positives.size()) * 2);
-    for (const Triplet& t : positives.triplets()) {
-      SPTX_CHECK(t.head >= 0 && t.relation >= 0 && t.tail >= 0,
-                 "filtered sampler requires non-negative ids, got h="
-                     << t.head << " r=" << t.relation << " t=" << t.tail);
-      positive_keys_.insert(t);
-    }
+  if (filtered) {
+    positives_ = KnownTriplets(num_entities_, num_relations_,
+                               static_cast<std::size_t>(positives.size()));
+    positives_.add(positives.triplets());
   }
   if (scheme_ == CorruptionScheme::kBernoulli) {
     // tph: average tails per (head, relation); hpt: heads per (tail,
@@ -68,7 +62,7 @@ NegativeSampler::NegativeSampler(const TripletStore& positives,
 }
 
 bool NegativeSampler::is_positive(const Triplet& t) const {
-  return positive_keys_.count(t) > 0;
+  return positives_.in_vocabulary(t) && positives_.contains(t);
 }
 
 float NegativeSampler::head_corruption_prob(std::int64_t relation) const {
@@ -91,7 +85,7 @@ Triplet NegativeSampler::corrupt(const Triplet& positive, Rng& rng) const {
       neg.tail = e;
     }
     if (neg == positive) continue;           // no-op corruption, retry
-    if (filtered_ && is_positive(neg)) continue;  // false negative, retry
+    if (is_positive(neg)) continue;          // false negative, retry
     return neg;
   }
   return neg;

@@ -11,10 +11,10 @@
 // An optional filter rejects corruptions that collide with known positives.
 #pragma once
 
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/kg/known_triplets.hpp"
 #include "src/kg/triplet.hpp"
 
 namespace sptx::kg {
@@ -24,7 +24,9 @@ enum class CorruptionScheme { kUniform, kBernoulli };
 class NegativeSampler {
  public:
   /// `filtered` rejects sampled negatives present in `positives`
-  /// (bounded retries; falls back to the last candidate).
+  /// (bounded retries; falls back to the last candidate). A filtered
+  /// sampler throws sptx::Error when N·R·N of the vocabulary overflows
+  /// 64 bits (the known-triplet key, see KnownTriplets).
   NegativeSampler(const TripletStore& positives, CorruptionScheme scheme,
                   bool filtered = false);
 
@@ -39,8 +41,7 @@ class NegativeSampler {
   Triplet corrupt(const Triplet& positive, Rng& rng) const;
 
   /// Exact membership test against the positive set (filtered mode only;
-  /// always false otherwise). Keyed by the full triplet, so it is correct
-  /// for entity/relation ids of any magnitude.
+  /// always false otherwise, and for ids outside the vocabulary).
   bool is_positive(const Triplet& t) const;
 
   /// One negative per positive, aligned by index — the paper's
@@ -59,10 +60,8 @@ class NegativeSampler {
 
   std::int64_t num_entities_;
   CorruptionScheme scheme_;
-  bool filtered_;
   std::vector<float> bernoulli_head_prob_;  // per relation
-  /// Full triplets, not packed keys: equality is exact at any id scale.
-  std::unordered_set<Triplet, TripletHash> positive_keys_;
+  KnownTriplets positives_;  // empty unless filtered
   std::int64_t num_relations_;
 };
 

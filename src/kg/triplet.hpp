@@ -23,29 +23,6 @@ struct Triplet {
   friend bool operator==(const Triplet&, const Triplet&) = default;
 };
 
-/// Hash functor over the full (h, r, t) so hashed containers stay exact at
-/// any id scale — membership is decided by operator== on the triplet itself,
-/// never by a packed key that could collide (the filtered sampler's old
-/// 21-bit packing silently corrupted beyond 2^21 entities).
-struct TripletHash {
-  std::size_t operator()(const Triplet& t) const {
-    // splitmix64 finalizer per field, chained.
-    const auto mix = [](std::uint64_t x) {
-      x ^= x >> 30;
-      x *= 0xBF58476D1CE4E5B9ULL;
-      x ^= x >> 27;
-      x *= 0x94D049BB133111EBULL;
-      x ^= x >> 31;
-      return x;
-    };
-    std::uint64_t h =
-        mix(static_cast<std::uint64_t>(t.head) + 0x9E3779B97F4A7C15ULL);
-    h = mix(h ^ static_cast<std::uint64_t>(t.relation));
-    h = mix(h ^ static_cast<std::uint64_t>(t.tail));
-    return static_cast<std::size_t>(h);
-  }
-};
-
 /// Owning container for a dataset split with its vocabulary sizes.
 class TripletStore {
  public:

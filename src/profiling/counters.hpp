@@ -31,7 +31,7 @@ enum class Counter : int {
   kAnnCandidates,         // exact-re-rank candidates scored by ANN queries
   kRuntimeTasksSubmitted,   // tasks + region tickets queued on the TaskPool
   kRuntimeTasksExecuted,    // tasks + tickets consumed by a pool lane
-  kRuntimeTasksStolen,      // tasks taken from another worker's deque
+  kRuntimeTasksStolen,      // never incremented: the pool has one queue
   kRuntimeChunksExecuted,   // parallel-region chunks run (any lane)
   kRuntimeParallelRegions,  // parallel_for regions that engaged the pool
   kRuntimeInlineLoops,      // parallel_for calls run inline (n <= grain)

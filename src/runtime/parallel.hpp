@@ -1,4 +1,4 @@
-// parallel_for over the shared work-stealing TaskPool.
+// parallel_for over the shared TaskPool.
 //
 // Drop-in successor of the retired src/common/parallel.hpp: same signature,
 // same exactly-once contract, same grain semantics (`grain` is both the

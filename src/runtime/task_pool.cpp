@@ -4,9 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,26 +16,6 @@ namespace sptx::runtime {
 namespace {
 
 constexpr int kNumClasses = static_cast<int>(TaskClass::kNumClasses);
-
-/// Identity of the current thread inside the pool: worker index, or -1 for
-/// external threads (the trainer's driving thread, serving clients).
-thread_local int tls_worker_index = -1;
-
-/// Partition hint installed by a runtime::Partition scope; -1 = no hint.
-thread_local int tls_partition = -1;
-
-/// NUMA-node count via sysfs; 1 when the topology is invisible (containers,
-/// non-Linux). Partitioning is a scheduling hint, so a conservative answer
-/// is always safe.
-int detect_numa_nodes() {
-  int nodes = 0;
-  for (;; ++nodes) {
-    const std::string path =
-        "/sys/devices/system/node/node" + std::to_string(nodes);
-    if (::access(path.c_str(), F_OK) != 0) break;
-  }
-  return nodes > 0 ? nodes : 1;
-}
 
 int hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
@@ -109,19 +86,16 @@ struct Task {
   enum class Kind : std::uint8_t { kClosure, kTicket };
   Kind kind = Kind::kClosure;
   TaskClass cls = TaskClass::kGeneral;
-  int partition = -1;   // hint from the submitting scope (routes push())
-  bool migrated = false;  // left the deque it was queued on (steal_from)
   std::function<void()> fn;          // kClosure
   TaskGroup* group = nullptr;        // kClosure
   RegionState* region = nullptr;     // kTicket
   std::uint64_t serial = 0;          // kTicket: RegionState recycle guard
 };
 
-/// Growable ring buffer of Tasks. Capacity persists across the pool's
-/// steady state, so per-epoch kernel tickets allocate nothing once warm —
-/// the zero-allocation property test_workspace asserts for training must
-/// survive the runtime migration. Not thread-safe; every instance is
-/// guarded by its owner's mutex.
+/// Growable FIFO ring buffer of Tasks. Capacity persists across the pool's
+/// steady state, so per-epoch kernel tickets allocate nothing once warm
+/// (test_workspace asserts that training allocates nothing per batch). Not
+/// thread-safe; the pool's queue mutex guards it.
 class TaskRing {
  public:
   bool empty() const { return size_ == 0; }
@@ -133,14 +107,6 @@ class TaskRing {
     ++size_;
   }
 
-  /// Owner side: newest task (LIFO — the Chase-Lev bottom).
-  Task pop_back() {
-    Task t = std::move(slots_[(head_ + size_ - 1) & mask_]);
-    --size_;
-    return t;
-  }
-
-  /// Thief side: oldest task (FIFO — the Chase-Lev top).
   Task pop_front() {
     Task t = std::move(slots_[head_]);
     head_ = (head_ + 1) & mask_;
@@ -169,36 +135,18 @@ class TaskRing {
 }  // namespace
 
 struct TaskPool::Impl {
-  explicit Impl(int width)
-      : configured_threads(std::max(1, width)),
-        partitions(detect_numa_nodes()) {}
+  explicit Impl(int width) : configured_threads(std::max(1, width)) {}
 
   const int configured_threads;  // pool width incl. the calling lane
-  const int partitions;
   const ::pid_t pid = ::getpid();
 
-  struct WorkerQueue {
-    Mutex mu;
-    TaskRing ring SPTX_GUARDED_BY(mu);
-  };
-
-  // One deque per background worker (workers_.size() == threads - 1).
-  std::vector<std::unique_ptr<WorkerQueue>> deques;
-  std::vector<std::thread> workers;
-  std::atomic<bool> workers_spawned{false};
-  Mutex spawn_mu;  // serializes lazy spawn / resize / shutdown
-
-  // Global injection queue for external submitters.
-  WorkerQueue global;
-
-  // Parking lot. total_queued is the queue-depth gauge AND the wakeup
-  // predicate: producers bump it before notifying, parkers re-check it
-  // under park_mu before sleeping, so a wakeup can never be missed (and a
-  // timed backoff backstops even a reasoning error here).
-  std::atomic<std::int64_t> total_queued{0};
-  Mutex park_mu;
-  CondVar park_cv;
-  bool stopping SPTX_GUARDED_BY(park_mu) = false;
+  // The task queue. Workers park on `ready` while it is empty; `parked`
+  // counts them so a push signals only when someone is asleep.
+  Mutex mu;
+  CondVar ready;
+  TaskRing queue SPTX_GUARDED_BY(mu);
+  int parked SPTX_GUARDED_BY(mu) = 0;
+  bool stopping SPTX_GUARDED_BY(mu) = false;
 
   // Region freelist (see RegionState).
   Mutex regions_mu;
@@ -207,134 +155,36 @@ struct TaskPool::Impl {
   // Per-class counters (relaxed; read by stats()).
   std::atomic<std::int64_t> submitted[kNumClasses] = {};
   std::atomic<std::int64_t> executed[kNumClasses] = {};
-  std::atomic<std::int64_t> stolen[kNumClasses] = {};
-  std::atomic<int> parked{0};
 
-  // Round-robin cursor spreading partition-hinted pushes across the hinted
-  // partition's workers.
-  std::atomic<std::uint32_t> hint_cursor{0};
+  // Declared after everything the workers use.
+  std::vector<std::thread> workers;  // configured_threads - 1 of them
+  std::atomic<bool> workers_spawned{false};
+  Mutex spawn_mu;  // serializes lazy spawn / resize / shutdown
 
-  // ---- queue plumbing ------------------------------------------------------
+  // ---- queue ---------------------------------------------------------------
 
   void count_submit(TaskClass cls, std::int64_t n = 1) {
     submitted[static_cast<int>(cls)].fetch_add(n, std::memory_order_relaxed);
     profiling::count_event(profiling::Counter::kRuntimeTasksSubmitted, n);
   }
 
-  /// Deque owned by a worker serving partition `part` (workers map to
-  /// partitions round-robin: worker w serves partition w % partitions),
-  /// rotating among that partition's workers. nullptr when no spawned
-  /// worker serves it (zero-worker pool, or width < partition count).
-  WorkerQueue* partition_queue(int part) {
-    const int n = static_cast<int>(deques.size());
-    if (n == 0) return nullptr;
-    const int residue = part % partitions;
-    const int offset = static_cast<int>(
-        hint_cursor.fetch_add(1, std::memory_order_relaxed) %
-        static_cast<std::uint32_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const int cand = (offset + i) % n;
-      if (cand % partitions == residue) return deques[cand].get();
-    }
-    return nullptr;
-  }
-
-  void push(Task t) {
-    const int w = tls_worker_index;
-    WorkerQueue* q = nullptr;
-    // A Partition hint targeting a different partition than the submitting
-    // lane routes the task onto one of that partition's deques, where
-    // pass 0 of try_steal keeps it among same-partition workers. Without a
-    // hint (or when the hint names the submitter's own partition) the
-    // owner's deque / global injection queue preserves LIFO locality.
-    if (t.partition >= 0 &&
-        (w < 0 || w % partitions != t.partition % partitions))
-      q = partition_queue(t.partition);
-    if (q == nullptr)
-      q = (w >= 0 && w < static_cast<int>(deques.size()))
-              ? deques[static_cast<std::size_t>(w)].get()
-              : &global;
+  void push(Task t) SPTX_EXCLUDES(mu) {
+    bool wake;
     {
-      MutexLock lock(q->mu);
-      q->ring.push_back(std::move(t));
+      MutexLock lock(mu);
+      queue.push_back(std::move(t));
+      // A worker that is not counted here has not parked yet, and it will
+      // see this task when it re-checks the queue under mu before parking.
+      wake = parked > 0;
     }
-    total_queued.fetch_add(1, std::memory_order_release);
-    wake_one();
+    if (wake) ready.notify_one();
   }
 
-  void wake_one() {
-    if (parked.load(std::memory_order_acquire) == 0) return;
-    MutexLock lock(park_mu);
-    park_cv.notify_one();
-  }
-
-  void wake_all() {
-    MutexLock lock(park_mu);
-    park_cv.notify_all();
-  }
-
-  bool pop_own(int w, Task& out) {
-    WorkerQueue& q = *deques[static_cast<std::size_t>(w)];
-    MutexLock lock(q.mu);
-    if (q.ring.empty()) return false;
-    out = q.ring.pop_back();
-    total_queued.fetch_sub(1, std::memory_order_relaxed);
+  bool try_pop(Task& out) SPTX_EXCLUDES(mu) {
+    MutexLock lock(mu);
+    if (queue.empty()) return false;
+    out = queue.pop_front();
     return true;
-  }
-
-  bool pop_global(Task& out) {
-    MutexLock lock(global.mu);
-    if (global.ring.empty()) return false;
-    out = global.ring.pop_front();
-    total_queued.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Steal-half from `victim` into `thief`'s deque; the first stolen task
-  /// is returned for immediate execution. Returns false when the victim
-  /// was empty.
-  bool steal_from(int victim, int thief, Task& out) {
-    std::vector<Task> haul;
-    {
-      WorkerQueue& q = *deques[static_cast<std::size_t>(victim)];
-      MutexLock lock(q.mu);
-      const std::size_t n = q.ring.size();
-      if (n == 0) return false;
-      const std::size_t take = (n + 1) / 2;  // steal half, at least one
-      haul.reserve(take);
-      for (std::size_t i = 0; i < take; ++i)
-        haul.push_back(q.ring.pop_front());
-    }
-    // Mark (don't count) the haul: the take-1 tasks re-queued below can be
-    // stolen again, so counting here would double-count them. execute()
-    // bumps the stolen counters exactly once per migrated task.
-    for (Task& t : haul) t.migrated = true;
-    out = std::move(haul.front());
-    total_queued.fetch_sub(1, std::memory_order_relaxed);
-    if (haul.size() > 1) {
-      WorkerQueue& mine = *deques[static_cast<std::size_t>(thief)];
-      MutexLock lock(mine.mu);
-      for (std::size_t i = 1; i < haul.size(); ++i)
-        mine.ring.push_back(std::move(haul[i]));
-    }
-    return true;
-  }
-
-  /// Victim scan order for `thief`: same-partition workers first (the
-  /// Partition locality hint), then the rest, round-robin from the thief.
-  bool try_steal(int thief, Task& out) {
-    const int n = static_cast<int>(deques.size());
-    const int my_part = thief % partitions;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int i = 1; i <= n; ++i) {
-        const int victim = (thief + i) % n;
-        if (victim == thief) continue;
-        const bool same_part = victim % partitions == my_part;
-        if ((pass == 0) != same_part) continue;
-        if (steal_from(victim, thief, out)) return true;
-      }
-    }
-    return false;
   }
 
   // ---- execution -----------------------------------------------------------
@@ -369,13 +219,6 @@ struct TaskPool::Impl {
   void execute(Task t) {
     executed[static_cast<int>(t.cls)].fetch_add(1, std::memory_order_relaxed);
     profiling::count_event(profiling::Counter::kRuntimeTasksExecuted);
-    if (t.migrated) {
-      // Counted at execution, once per task: a task that migrated off the
-      // deque it was queued on (however many hops it took) is one steal,
-      // so stolen <= executed and steal_ratio stays a true fraction.
-      stolen[static_cast<int>(t.cls)].fetch_add(1, std::memory_order_relaxed);
-      profiling::count_event(profiling::Counter::kRuntimeTasksStolen);
-    }
     if (t.kind == Task::Kind::kTicket) {
       // A ticket for an already-finished (recycled) region is a no-op: the
       // serial check refuses entry and the ticket is simply consumed.
@@ -406,49 +249,20 @@ struct TaskPool::Impl {
       group->cv_.notify_all();
   }
 
-  /// One dequeue attempt from the perspective of thread `w` (-1 = external:
-  /// global queue only — an external helper must not drain worker deques
-  /// out from under the owner's LIFO).
-  bool next_task(int w, Task& out) {
-    if (w >= 0 && pop_own(w, out)) return true;
-    if (pop_global(out)) return true;
-    if (w >= 0 && try_steal(w, out)) return true;
-    return false;
-  }
-
-  void worker_main(int w) {
-    tls_worker_index = w;
-    auto backoff = std::chrono::microseconds(50);
-    // Cap at 2ms: an idle worker costs ~500 empty scans/s (noise), and any
-    // lost-notify race (see below) delays a task by at most one backoff —
-    // which must stay well under serving-deadline magnitudes.
-    constexpr auto kMaxBackoff = std::chrono::microseconds(2000);
+  void worker_main() {
     for (;;) {
       Task t;
-      if (next_task(w, t)) {
-        execute(std::move(t));
-        backoff = std::chrono::microseconds(50);
-        continue;
-      }
-      // Exponential-backoff parking: brief spin (other lanes may be about
-      // to publish tickets), then a timed wait that doubles from 50us up
-      // to the 2ms kMaxBackoff cap. total_queued is re-checked under
-      // park_mu, so a push+notify cannot slip between our last scan and
-      // the wait.
-      bool stop = false;
       {
-        MutexLock lock(park_mu);
-        if (stopping) return;
-        if (total_queued.load(std::memory_order_acquire) == 0) {
-          parked.fetch_add(1, std::memory_order_release);
-          park_cv.wait_until(park_mu,
-                             std::chrono::steady_clock::now() + backoff);
-          parked.fetch_sub(1, std::memory_order_release);
-          stop = stopping;
-          backoff = std::min(backoff * 2, kMaxBackoff);
+        MutexLock lock(mu);
+        while (queue.empty() && !stopping) {
+          ++parked;
+          ready.wait(mu);
+          --parked;
         }
+        if (stopping) return;
+        t = queue.pop_front();
       }
-      if (stop) return;
+      execute(std::move(t));
     }
   }
 
@@ -457,21 +271,17 @@ struct TaskPool::Impl {
     MutexLock lock(spawn_mu);
     if (workers_spawned.load(std::memory_order_relaxed)) return;
     const int n = configured_threads - 1;
-    deques.reserve(static_cast<std::size_t>(n));
     workers.reserve(static_cast<std::size_t>(n));
-    for (int w = 0; w < n; ++w)
-      deques.push_back(std::make_unique<WorkerQueue>());
-    for (int w = 0; w < n; ++w)
-      workers.emplace_back([this, w] { worker_main(w); });
+    for (int w = 0; w < n; ++w) workers.emplace_back([this] { worker_main(); });
     workers_spawned.store(true, std::memory_order_release);
   }
 
   void shutdown() {
     {
-      MutexLock lock(park_mu);
+      MutexLock lock(mu);
       stopping = true;
-      park_cv.notify_all();
     }
+    ready.notify_all();
     for (auto& t : workers) t.join();
     workers.clear();
   }
@@ -531,8 +341,6 @@ TaskPool::Impl& TaskPool::impl() const {
 
 int TaskPool::threads() const { return impl().configured_threads; }
 
-int TaskPool::num_partitions() const { return impl().partitions; }
-
 void TaskPool::resize(int threads) {
   Impl& old = impl();
   SPTX_CHECK(threads >= 1, "TaskPool::resize needs threads >= 1");
@@ -545,7 +353,6 @@ void TaskPool::resize(int threads) {
   for (int c = 0; c < kNumClasses; ++c) {
     fresh->submitted[c] = old.submitted[c].load(std::memory_order_relaxed);
     fresh->executed[c] = old.executed[c].load(std::memory_order_relaxed);
-    fresh->stolen[c] = old.stolen[c].load(std::memory_order_relaxed);
   }
   impl_.store(fresh, std::memory_order_release);
   // The old Impl is retained (its queues must be idle per the contract);
@@ -560,7 +367,6 @@ void TaskPool::submit(TaskGroup& group, std::function<void()> fn,
   Task t;
   t.kind = Task::Kind::kClosure;
   t.cls = cls;
-  t.partition = tls_partition;
   t.fn = std::move(fn);
   t.group = &group;
   s.count_submit(cls);
@@ -602,7 +408,6 @@ void TaskPool::run_region(std::int64_t begin, std::int64_t end,
       Task t;
       t.kind = Task::Kind::kTicket;
       t.cls = cls;
-      t.partition = tls_partition;
       t.region = r;
       t.serial = serial;
       s.push(std::move(t));
@@ -624,24 +429,18 @@ void TaskPool::run_region(std::int64_t begin, std::int64_t end,
   if (err) std::rethrow_exception(err);
 }
 
-void TaskPool::record_external(TaskClass cls) {
-  Impl& s = impl();
-  s.count_submit(cls);
-  s.executed[static_cast<int>(cls)].fetch_add(1, std::memory_order_relaxed);
-  profiling::count_event(profiling::Counter::kRuntimeTasksExecuted);
-}
-
 void TaskPool::help_group(TaskGroup& group) {
   Impl& s = instance().impl();
   while (group.pending_.load(std::memory_order_acquire) > 0) {
     Task t;
-    if (s.next_task(tls_worker_index, t)) {
+    if (s.try_pop(t)) {
       s.execute(std::move(t));
       continue;
     }
-    // Nothing runnable anywhere: the group's tasks are executing on other
-    // lanes. Block until the count drains (timed, as a lost-wakeup
-    // backstop — correctness never depends on the notify arriving).
+    // Nothing queued: the group's tasks are executing on other lanes.
+    // Block until the count drains. The last task's notify ends the wait;
+    // the timeout only sends this lane back to the queue, to help with
+    // region tickets those tasks post meanwhile.
     MutexLock lock(group.mu_);
     // Safe exit: pending_ only reaches 0 inside mu_ (see execute()), so
     // observing 0 while holding the lock proves the last notifier has
@@ -662,45 +461,34 @@ TaskPool::Stats TaskPool::stats() const {
   Impl& s = impl();
   Stats out;
   out.threads = s.configured_threads;
-  out.partitions = s.partitions;
-  out.queue_depth = s.total_queued.load(std::memory_order_acquire);
-  out.parked_workers = s.parked.load(std::memory_order_acquire);
+  {
+    MutexLock lock(s.mu);
+    out.queue_depth = static_cast<std::int64_t>(s.queue.size());
+    out.parked_workers = s.parked;
+  }
   for (int c = 0; c < kNumClasses; ++c) {
     out.per_class[c].submitted = s.submitted[c].load(std::memory_order_relaxed);
     out.per_class[c].executed = s.executed[c].load(std::memory_order_relaxed);
-    out.per_class[c].stolen = s.stolen[c].load(std::memory_order_relaxed);
     out.submitted += out.per_class[c].submitted;
     out.executed += out.per_class[c].executed;
-    out.stolen += out.per_class[c].stolen;
   }
-  out.steal_ratio =
-      out.executed > 0
-          ? static_cast<double>(out.stolen) / static_cast<double>(out.executed)
-          : 0.0;
   return out;
 }
 
 std::string TaskPool::stats_json() const {
   const Stats s = stats();
   std::string out = "{\"threads\": " + std::to_string(s.threads);
-  out += ", \"partitions\": " + std::to_string(s.partitions);
   out += ", \"queue_depth\": " + std::to_string(s.queue_depth);
   out += ", \"parked_workers\": " + std::to_string(s.parked_workers);
   out += ", \"tasks_submitted\": " + std::to_string(s.submitted);
   out += ", \"tasks_executed\": " + std::to_string(s.executed);
-  out += ", \"tasks_stolen\": " + std::to_string(s.stolen);
-  char ratio[32];
-  std::snprintf(ratio, sizeof(ratio), "%.4f", s.steal_ratio);
-  out += ", \"steal_ratio\": ";
-  out += ratio;
   out += ", \"classes\": {";
   for (int c = 0; c < kNumClasses; ++c) {
     if (c > 0) out += ", ";
     out += '"';
     out += task_class_name(static_cast<TaskClass>(c));
     out += "\": {\"submitted\": " + std::to_string(s.per_class[c].submitted);
-    out += ", \"executed\": " + std::to_string(s.per_class[c].executed);
-    out += ", \"stolen\": " + std::to_string(s.per_class[c].stolen) + "}";
+    out += ", \"executed\": " + std::to_string(s.per_class[c].executed) + "}";
   }
   out += "}}";
   return out;
@@ -734,14 +522,6 @@ void TaskGroup::wait() {
   if (err) std::rethrow_exception(err);
 }
 
-// ---- Partition -------------------------------------------------------------
-
-Partition::Partition(int partition) : previous_(tls_partition) {
-  tls_partition = partition;
-}
-
-Partition::~Partition() { tls_partition = previous_; }
-
 // ---- free functions --------------------------------------------------------
 
 const char* task_class_name(TaskClass c) {
@@ -749,8 +529,6 @@ const char* task_class_name(TaskClass c) {
     case TaskClass::kKernel: return "kernel";
     case TaskClass::kPrefetch: return "prefetch";
     case TaskClass::kDdp: return "ddp";
-    case TaskClass::kServe: return "serve";
-    case TaskClass::kAnnBuild: return "ann_build";
     case TaskClass::kGeneral: return "general";
     case TaskClass::kNumClasses: break;
   }

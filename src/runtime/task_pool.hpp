@@ -1,22 +1,19 @@
-// Process-wide work-stealing task runtime — the one view of parallelism.
+// Process-wide task runtime: the one view of parallelism.
 //
-// Before this subsystem, three ad-hoc threading schemes coexisted (the
-// OpenMP parallel_for under the SpMM kernels, the trainer's epoch-prefetch
-// thread, the DDP fork/join workers, the MicroBatcher's execution slots)
-// and each assumed it owned the machine, so composing them — training while
-// serving, DDP shards running fused kernels — oversubscribed cores. The
-// TaskPool replaces all of them: a singleton pool of `threads() - 1` worker
-// threads (the calling thread is the remaining lane) with Chase-Lev-style
-// per-worker deques — the owner pushes and pops at the bottom (LIFO), thieves
-// take half the queue from the top (FIFO) — plus a global injection queue for
-// tasks submitted from threads outside the pool, and exponential-backoff
-// parking for idle workers.
+// Every parallel site runs on one singleton pool: the SpMM kernels' row
+// blocks, the trainer's epoch prefetch, the DDP shard loops and the
+// serving kernels. The pool holds `threads() - 1` worker threads (the
+// calling thread is the remaining lane) and one FIFO task queue. One mutex
+// guards the queue and one condition variable parks idle workers. A worker
+// parks only while the queue is empty and the pool is not stopping, and it
+// checks that under the queue's mutex, so a push can never be missed.
 //
-// The deques are mutex-guarded rather than lock-free: every task is at least
-// a grain of real work, so the per-task lock is uncontended noise, and in
-// exchange every lock in this file carries the PR 8 thread-safety
-// annotations — the clang TSA build proves the locking discipline instead of
-// hoping TSan's schedules hit the races.
+// One queue is enough because the queued work is coarse. A region ticket
+// only invites an idle lane to claim chunks from the region's cursor, and a
+// submitted task is a whole DDP shard loop or prefetch compile, so which
+// lane pops which task changes no result and little time. Every lock in
+// this file carries the thread-safety annotations, so the clang build
+// checks the locking discipline.
 //
 // Deadlock freedom by construction: a parallel region is driven by its
 // caller. `run_region` claims grain-sized chunks from an atomic cursor on
@@ -24,7 +21,7 @@
 // join in; if every worker is busy (or the pool has zero workers, or the
 // process just fork()ed and the workers died with the parent), the caller
 // simply executes every chunk itself. Nested parallel_for inside a task
-// therefore composes — worst case it degrades to serial, it can never wait
+// therefore composes: worst case it degrades to serial, it can never wait
 // on a thread that is waiting on it. TaskGroup::wait() similarly helps
 // drain queued tasks instead of blocking, so submit()+wait() works on a
 // zero-worker pool.
@@ -46,13 +43,11 @@ namespace sptx::runtime {
 
 /// Task provenance for the per-class profiling counters: every submitted
 /// task and parallel region is tagged, so the health surface can show who
-/// is using the pool (kernels vs prefetch vs DDP vs serving).
+/// is using the pool.
 enum class TaskClass : int {
   kKernel = 0,  // parallel_for chunk work: SpMM, row normalize, k-means
   kPrefetch,    // trainer epoch-prefetch plan compilation
   kDdp,         // DDP worker shard loops
-  kServe,       // micro-batcher batch executions
-  kAnnBuild,    // serving-snapshot / ANN index construction
   kGeneral,     // untagged submissions
   kNumClasses,
 };
@@ -60,14 +55,10 @@ enum class TaskClass : int {
 const char* task_class_name(TaskClass c);
 
 /// Per-class counters, surfaced through TaskPool::stats / stats_json and
-/// Engine::health_json. `stolen` counts executed tasks that migrated off
-/// the deque they were queued on (the work-stealing did something) — each
-/// task at most once, however many steal hops it took, so stolen <=
-/// executed; queue depth and steal ratio live on TaskPool::Stats.
+/// Engine::health_json.
 struct ClassStats {
   std::int64_t submitted = 0;
   std::int64_t executed = 0;
-  std::int64_t stolen = 0;
 };
 
 class TaskPool;
@@ -104,24 +95,6 @@ class TaskGroup {
   std::exception_ptr error_ SPTX_GUARDED_BY(mu_);
 };
 
-/// Scoped partition hint for NUMA/core-affinity. Workers are assigned to
-/// partitions round-robin over the machine's NUMA nodes (1 partition on
-/// UMA boxes); tasks submitted inside a Partition scope from outside that
-/// partition are pushed onto deques owned by its workers, and thieves
-/// prefer victims in their own partition, keeping a partition's task graph
-/// on its own cores when the pool is busy. It is a *hint*: any idle worker
-/// may still steal any task — throughput beats placement.
-class Partition {
- public:
-  explicit Partition(int partition);
-  ~Partition();
-  Partition(const Partition&) = delete;
-  Partition& operator=(const Partition&) = delete;
-
- private:
-  int previous_;
-};
-
 class TaskPool {
  public:
   /// The process-wide pool. Construction latches SPTX_RUNTIME_THREADS from
@@ -133,9 +106,6 @@ class TaskPool {
   /// Pool width including the calling lane: N means N-1 background workers
   /// plus the thread driving a region. Always >= 1.
   int threads() const;
-
-  /// Number of partition domains (NUMA nodes detected at init, min 1).
-  int num_partitions() const;
 
   /// Re-shape the pool (tests, thread-scaling benches). Joins the current
   /// workers and starts over at the new width. The pool must be quiescent:
@@ -159,29 +129,21 @@ class TaskPool {
   void run_region(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   ChunkFn fn, void* ctx, TaskClass cls = TaskClass::kKernel);
 
-  /// Account an execution that ran on the caller's thread under the pool's
-  /// admission control (the micro-batcher's execution slots): shows up as
-  /// submitted+executed for `cls` without a queue round-trip.
-  void record_external(TaskClass cls);
-
   /// Point-in-time counters for health/benches. queue_depth is the number
-  /// of tasks currently enqueued (global + all deques, including stale
-  /// region tickets not yet dropped); steal_ratio = stolen / executed.
+  /// of tasks currently queued, including stale region tickets not yet
+  /// dropped.
   struct Stats {
     ClassStats per_class[static_cast<int>(TaskClass::kNumClasses)];
     std::int64_t submitted = 0;  // sums of per_class
     std::int64_t executed = 0;
-    std::int64_t stolen = 0;
     std::int64_t queue_depth = 0;
     int parked_workers = 0;
     int threads = 1;
-    int partitions = 1;
-    double steal_ratio = 0.0;
   };
   Stats stats() const;
 
   /// The stats as a JSON object (Engine::health_json embeds it verbatim):
-  /// {"threads": ..., "queue_depth": ..., "steal_ratio": ...,
+  /// {"threads": ..., "queue_depth": ..., "parked_workers": ...,
   ///  "classes": {"kernel": {...}, ...}}.
   std::string stats_json() const;
 

@@ -60,10 +60,6 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const Matrix& table,
   SPTX_CHECK(num_entities > 0 && num_entities <= table.rows(),
              "ANN build over " << num_entities << " entities but the table has "
                                << table.rows() << " rows");
-  // Runtime accounting: the build runs on the publisher's thread, but its
-  // k-means passes below are pool parallel regions — tag the whole build
-  // under the kAnnBuild class so health can attribute the pool traffic.
-  runtime::TaskPool::instance().record_external(runtime::TaskClass::kAnnBuild);
   const index_t n = num_entities;
   const index_t d = table.cols();
   const bool vec = simd_enabled();

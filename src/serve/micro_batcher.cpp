@@ -6,7 +6,6 @@
 
 #include "src/common/error.hpp"
 #include "src/common/fault.hpp"
-#include "src/runtime/task_pool.hpp"
 
 namespace sptx::serve {
 
@@ -164,13 +163,9 @@ RejectReason MicroBatcher::try_execute(std::span<const Triplet> triplets,
     // need waking to observe their rejection.
     if (leftovers || shed) cv_.notify_all();
 
-    // The execution slot is runtime-accounted: the batch scores on the
-    // leader's thread (a queue round-trip would put serving tail latency at
-    // the mercy of worker wakeup) under the pool's kServe class, and the
-    // kernels inside score_ run their parallel regions on the shared pool —
-    // serving compute and training compute draw on one thread budget
-    // instead of two schemes assuming they own the machine.
-    runtime::TaskPool::instance().record_external(runtime::TaskClass::kServe);
+    // The batch scores on the leader's thread (a queue round-trip would put
+    // serving tail latency at the mercy of worker wakeup); the kernels
+    // inside score_ run their parallel regions on the shared pool.
 
     if (batch.size() == 1) {
       // Solo request: no concatenation, score the span directly.

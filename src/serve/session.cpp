@@ -63,7 +63,7 @@ InferenceSession::InferenceSession(
   SPTX_CHECK(snap != nullptr && snap->model != nullptr,
              "InferenceSession needs a model snapshot");
   if (options_.filter != nullptr) {
-    known_ = eval::KnownTriplets(
+    known_ = kg::KnownTriplets(
         snap->model->num_entities(), snap->model->num_relations(),
         static_cast<std::size_t>(options_.filter->size()));
     known_.add(options_.filter->triplets());

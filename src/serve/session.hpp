@@ -46,6 +46,7 @@
 #include "src/common/runtime_config.hpp"
 #include "src/common/thread_annotations.hpp"
 #include "src/eval/candidates.hpp"
+#include "src/kg/known_triplets.hpp"
 #include "src/kg/triplet.hpp"
 #include "src/models/model.hpp"
 #include "src/serve/ann_index.hpp"
@@ -223,7 +224,7 @@ class InferenceSession {
   void cell_store(std::shared_ptr<const ServingSnapshot> snapshot) const;
 
   SessionOptions options_;
-  eval::KnownTriplets known_;
+  kg::KnownTriplets known_;
   // The RCU cell. libstdc++ ≥ 12 provides the lock-free-ish atomic
   // specialization; the mutex fallback keeps older toolchains correct (and
   // carries the guarded-by contract so the fallback is analyzable too).

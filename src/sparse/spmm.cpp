@@ -367,8 +367,8 @@ struct PanelTask {
   index_t i0, i1, j0, j1;
 };
 
-/// Tasks per pool lane: enough slack for work stealing to even out the
-/// tasks' unequal gather costs.
+/// Tasks per pool lane: enough slack for lanes claiming tasks from the
+/// region cursor to even out the tasks' unequal gather costs.
 constexpr index_t kBackwardTasksPerLane = 8;
 /// Fewest nonzeros worth a task of their own (dispatch cost floor).
 constexpr index_t kBackwardMinTaskNnz = 1024;

@@ -6,6 +6,7 @@
 
 #include "src/eval/candidates.hpp"
 #include "src/eval/link_prediction.hpp"
+#include "src/kg/known_triplets.hpp"
 #include "src/kg/synthetic.hpp"
 
 namespace sptx {
@@ -172,17 +173,17 @@ TEST(Eval, FilterStaysExactPastTwoToTheTwentyOneEntities) {
   cfg.corrupt_heads = false;
   EXPECT_DOUBLE_EQ(eval::evaluate(model, ds, cfg).mean_rank, 2.0);
 
-  eval::KnownTriplets known(kBig, 2);
+  kg::KnownTriplets known(kBig, 2);
   known.add(ds.train.triplets());
   EXPECT_TRUE(known.contains({0, 1, 5}));
   EXPECT_FALSE(known.contains({0, 0, kAliased}));
 }
 
 TEST(Eval, KnownTripletsIsExactAndChecksItsKeyRange) {
-  eval::KnownTriplets empty;
+  kg::KnownTriplets empty;
   EXPECT_FALSE(empty.contains({0, 0, 0}));
 
-  eval::KnownTriplets known(10, 3, 4);
+  kg::KnownTriplets known(10, 3, 4);
   // (0, 0, 10) lies outside the vocabulary; keyed anyway it would alias
   // (0, 1, 0), so add() skips it.
   const std::vector<Triplet> triplets = {
@@ -195,20 +196,20 @@ TEST(Eval, KnownTripletsIsExactAndChecksItsKeyRange) {
   EXPECT_FALSE(known.contains({1, 0, 1}));
 
   // N·R·N must fit 64 bits: 2^32 entities leave room for no relation.
-  EXPECT_NO_THROW(eval::KnownTriplets(std::int64_t{1} << 31, 3));
-  EXPECT_THROW(eval::KnownTriplets(std::int64_t{1} << 32, 1), Error);
+  EXPECT_NO_THROW(kg::KnownTriplets(std::int64_t{1} << 31, 3));
+  EXPECT_THROW(kg::KnownTriplets(std::int64_t{1} << 32, 1), Error);
 }
 
 TEST(Eval, FilteredRankSkipsTruthAndKnownAndAveragesTies) {
   // Candidates 0..5 of (2, 0, ?); truth 3 scores 1.0 (lower is better).
   const std::vector<float> scores = {0.0f, 1.0f, 0.5f, 1.0f, 1.0f, 3.0f};
   const eval::CandidateQuery query{true, 2, 0};
-  eval::KnownTriplets known(6, 1);
+  kg::KnownTriplets known(6, 1);
   const std::vector<Triplet> positives = {{2, 0, 2}, {2, 0, 4}};
   known.add(positives);
   // Unfiltered: 0 and 2 better, 1 and 4 tie.
   EXPECT_DOUBLE_EQ(
-      eval::filtered_rank(scores, query, 3, false, eval::KnownTriplets{}),
+      eval::filtered_rank(scores, query, 3, false, kg::KnownTriplets{}),
       1.0 + 2.0 + 1.0);
   // Filtered: 2 and 4 drop out.
   EXPECT_DOUBLE_EQ(eval::filtered_rank(scores, query, 3, false, known),

@@ -171,6 +171,22 @@ TEST(NegativeSampler, TooFewEntitiesThrows) {
       kg::NegativeSampler(store, kg::CorruptionScheme::kUniform), Error);
 }
 
+TEST(NegativeSampler, FilteredThrowsWhenTheKnownTripletKeyOverflows) {
+  // The filter keys a triplet as h·(R·N) + r·N + t in 64 bits: N = 2^31
+  // entities leave room for three relations (N·R·N = 3·2^62), not four.
+  // Unfiltered sampling never builds the key, so it accepts both.
+  const std::int64_t n = std::int64_t{1} << 31;
+  const TripletStore fits(n, 3, {{0, 2, 1}});
+  EXPECT_NO_THROW(
+      kg::NegativeSampler(fits, kg::CorruptionScheme::kUniform, true));
+  const TripletStore overflows(n, 4, {{0, 3, 1}});
+  EXPECT_THROW(
+      kg::NegativeSampler(overflows, kg::CorruptionScheme::kUniform, true),
+      Error);
+  EXPECT_NO_THROW(
+      kg::NegativeSampler(overflows, kg::CorruptionScheme::kUniform));
+}
+
 TEST(NegativeSampler, UniformCorruptsBothSidesRoughlyEqually) {
   const TripletStore store = toy_store();
   kg::NegativeSampler sampler(store, kg::CorruptionScheme::kUniform);

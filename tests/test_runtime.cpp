@@ -1,4 +1,4 @@
-// Tests for src/runtime/: the process-wide work-stealing TaskPool.
+// Tests for src/runtime/: the process-wide TaskPool and its one queue.
 //
 // Covers the contracts the migrated call sites lean on:
 //  * parallel_for visits every index exactly once for any (n, grain),
@@ -8,10 +8,12 @@
 //    a hot loop over small rows never pays a pool round-trip.
 //  * submit()/TaskGroup::wait() retires every task and rethrows the first
 //    task exception; the pool stays usable afterwards.
+//  * A parked worker wakes for a push: a submitted task runs while its
+//    submitter spins without helping.
 //  * DDP training is bit-identical at pool widths 1 and 4: logical workers
 //    keep their shard assignment whichever lane runs them.
-//  * Stats gauges: queue depth drains to zero at idle, steal_ratio stays
-//    in [0, 1], stats_json carries the health-surface keys.
+//  * Stats gauges: queue depth drains to zero at idle, stats_json carries
+//    the health-surface keys.
 //  * A TSan hammer: external threads submit and drive regions against a
 //    resized pool concurrently (CI runs this under SPTX_SANITIZE=thread).
 #include <gtest/gtest.h>
@@ -114,6 +116,31 @@ TEST_F(RuntimeTest, WaitRethrowsFirstTaskExceptionAndPoolStaysUsable) {
   EXPECT_EQ(ran.load(), 1);
 }
 
+// Every other test joins its tasks with wait(), and wait() runs queued
+// tasks itself, so a push that lost its wake-up would pass unnoticed there.
+// Here the submitter spins without helping until the task has run: only the
+// parked worker can run it.
+TEST_F(RuntimeTest, ParkedWorkerRunsASubmitWithoutTheWaiterHelping) {
+  auto& pool = TaskPool::instance();
+  pool.resize(2);  // one background worker
+  constexpr int kRounds = 100;
+  for (int round = 0; round < kRounds; ++round) {
+    // Long enough for the worker to drain the previous round and park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    std::atomic<bool> ran{false};
+    TaskGroup group;
+    pool.submit(group, [&ran] { ran.store(true, std::memory_order_release); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (!ran.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(ran.load(std::memory_order_acquire)) << "round " << round;
+    group.wait();
+  }
+}
+
 TEST_F(RuntimeTest, ParallelForRethrowsBodyException) {
   EXPECT_THROW(
       runtime::parallel_for(
@@ -157,19 +184,6 @@ TEST_F(RuntimeTest, ResizeReshapesWidthAndKeepsRegionsCorrect) {
   }
 }
 
-TEST_F(RuntimeTest, PartitionScopeIsAHintNotACorrectnessHazard) {
-  auto& pool = TaskPool::instance();
-  EXPECT_GE(pool.num_partitions(), 1);
-  std::atomic<int> ran{0};
-  TaskGroup group;
-  {
-    runtime::Partition scope(pool.num_partitions() - 1);
-    for (int i = 0; i < 32; ++i) pool.submit(group, [&ran] { ran++; });
-  }  // hint restored before wait — tasks still complete
-  group.wait();
-  EXPECT_EQ(ran.load(), 32);
-}
-
 // Regression for a completion race: execute() used to decrement pending_
 // outside the group mutex and then lock it to notify, so a waiter could
 // observe pending_ == 0, return from wait(), and destroy the stack
@@ -194,7 +208,7 @@ TEST_F(RuntimeTest, StatsGaugesDrainAtIdleAndJsonCarriesHealthKeys) {
   TaskGroup group;
   std::atomic<int> ran{0};
   for (int i = 0; i < 64; ++i) {
-    pool.submit(group, [&ran] { ran++; }, TaskClass::kServe);
+    pool.submit(group, [&ran] { ran++; }, TaskClass::kGeneral);
   }
   group.wait();
   runtime::parallel_for(0, 2048, [](std::int64_t) {}, 64);
@@ -202,30 +216,17 @@ TEST_F(RuntimeTest, StatsGaugesDrainAtIdleAndJsonCarriesHealthKeys) {
   EXPECT_EQ(idle_queue_depth(pool), 0);  // drains once the pool idles
   const auto stats = pool.stats();
   EXPECT_GE(stats.executed, 64);
-  EXPECT_GE(stats.steal_ratio, 0.0);
-  EXPECT_LE(stats.steal_ratio, 1.0);
-  const auto& serve =
-      stats.per_class[static_cast<int>(TaskClass::kServe)];
-  EXPECT_GE(serve.submitted, 64);
-  EXPECT_GE(serve.executed, 64);
+  const auto& general =
+      stats.per_class[static_cast<int>(TaskClass::kGeneral)];
+  EXPECT_GE(general.submitted, 64);
+  EXPECT_GE(general.executed, 64);
 
   const std::string json = pool.stats_json();
   for (const char* key : {"\"threads\"", "\"queue_depth\"",
-                          "\"steal_ratio\"", "\"parked_workers\"",
-                          "\"classes\"", "\"serve\"", "\"kernel\""}) {
+                          "\"parked_workers\"", "\"classes\"",
+                          "\"general\"", "\"kernel\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
-}
-
-TEST_F(RuntimeTest, RecordExternalAccountsWithoutQueueRoundTrip) {
-  auto& pool = TaskPool::instance();
-  const auto before = pool.stats();
-  pool.record_external(TaskClass::kAnnBuild);
-  const auto after = pool.stats();
-  const int ann = static_cast<int>(TaskClass::kAnnBuild);
-  EXPECT_EQ(after.per_class[ann].submitted, before.per_class[ann].submitted + 1);
-  EXPECT_EQ(after.per_class[ann].executed, before.per_class[ann].executed + 1);
-  EXPECT_EQ(after.queue_depth, 0);
 }
 
 // ---- DDP bit-identity across pool widths ----------------------------------
