@@ -56,6 +56,46 @@ inline Args parse_args(int argc, const char* const* argv) {
   return args;
 }
 
+/// An option and the value that leaves its feature off.
+struct OptionDefault {
+  std::string_view name;
+  std::string_view value;
+};
+
+/// `sptx train` options that only the single-process trainer reads. The
+/// data-parallel path (--ddp-workers / --ddp-mode) trains with plain SGD on
+/// fixed-order batches, one uniform negative per positive drawn per batch,
+/// with no weight decay, clipping or early stopping.
+inline constexpr OptionDefault kSingleProcessTrainOptions[] = {
+    {"optimizer", "sgd"},        {"shuffle", "0"},
+    {"resample-negatives", "0"}, {"negatives", "1"},
+    {"corruption", "uniform"},   {"weight-decay", "0"},
+    {"clip-norm", "0"},          {"patience", "0"},
+};
+
+/// Throw naming the first of `options` given with a value other than its
+/// default (compared as numbers when the default is numeric), so a run
+/// through `context`, which does not read them, never trains silently with
+/// a setting the user did not get.
+inline void reject_non_default(const Args& args,
+                               std::span<const OptionDefault> options,
+                               std::string_view context) {
+  for (const OptionDefault& option : options) {
+    const std::string key(option.name);
+    if (!args.has(key)) continue;
+    const std::string fallback(option.value);
+    char* end = nullptr;
+    const double number = std::strtod(fallback.c_str(), &end);
+    const bool is_default = *end == '\0'
+                                ? args.num(key, number) == number
+                                : args.get(key, fallback) == fallback;
+    SPTX_CHECK(is_default, "option --" << key << " " << args.get(key, "")
+                                       << " is not supported by " << context
+                                       << " (only --" << key << " "
+                                       << fallback << ")");
+  }
+}
+
 /// True when `command` is one of `known` — main() rejects the rest with a
 /// message listing the valid commands.
 inline bool known_command(std::string_view command,

@@ -304,6 +304,7 @@ void RunLog::finish(std::span<Replica> replicas) {
     result_.plan_stats.misses += stats.misses;
     result_.plan_stats.invalidations += stats.invalidations;
     result_.plan_stats.entries += stats.entries;
+    result_.plan_stats.bytes += stats.bytes;
   }
   result_.model = std::move(replicas[0].model);
 }

@@ -241,7 +241,7 @@ struct TaskPool::Impl {
     // Decrement and notify inside one critical section on the group lock.
     // This is the lifetime handshake with help_group(): a waiter only
     // returns after taking mu_ and thus after this lane has released it,
-    // so a stack TaskGroup (ddp's tg, the trainer's prefetch group) can be
+    // so a stack TaskGroup (ddp's tg, the trainer's lookahead group) can be
     // destroyed the moment wait() returns without racing this notify.
     MutexLock lock(group->mu_);
     if (err && !group->error_) group->error_ = std::move(err);

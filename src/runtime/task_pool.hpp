@@ -1,7 +1,7 @@
 // Process-wide task runtime: the one view of parallelism.
 //
 // Every parallel site runs on one singleton pool: the SpMM kernels' row
-// blocks, the trainer's epoch prefetch, the DDP shard loops and the
+// blocks, the trainer's plan lookahead, the DDP shard loops and the
 // serving kernels. The pool holds `threads() - 1` worker threads (the
 // calling thread is the remaining lane) and one FIFO task queue. One mutex
 // guards the queue and one condition variable parks idle workers. A worker
@@ -10,8 +10,8 @@
 //
 // One queue is enough because the queued work is coarse. A region ticket
 // only invites an idle lane to claim chunks from the region's cursor, and a
-// submitted task is a whole DDP shard loop or prefetch compile, so which
-// lane pops which task changes no result and little time. Every lock in
+// submitted task is a whole DDP shard loop or one batch's plan compile, so
+// which lane pops which task changes no result and little time. Every lock in
 // this file carries the thread-safety annotations, so the clang build
 // checks the locking discipline.
 //
@@ -46,7 +46,7 @@ namespace sptx::runtime {
 /// is using the pool.
 enum class TaskClass : int {
   kKernel = 0,  // parallel_for chunk work: SpMM, row normalize, k-means
-  kPrefetch,    // trainer epoch-prefetch plan compilation
+  kPrefetch,    // trainer's one-batch-ahead plan compilation
   kDdp,         // DDP worker shard loops
   kGeneral,     // untagged submissions
   kNumClasses,

@@ -12,10 +12,21 @@ namespace {
 
 /// Pre-build the backward-pass transpose when the SpMM engine would take the
 /// cached-transpose path for this shape: the build then happens at plan
-/// compilation (possibly in the prefetch task) instead of inside the first
-/// backward of the epoch.
+/// compilation (possibly in the lookahead task) instead of inside the
+/// batch's backward.
 void maybe_warm_transpose(const Csr& a, index_t dim) {
   if (dim > 0 && spmm_backward_uses_transpose(a, dim)) a.transposed();
+}
+
+template <typename T>
+std::int64_t vector_bytes(const std::vector<T>& v) {
+  return static_cast<std::int64_t>(v.size() * sizeof(T));
+}
+
+std::int64_t csr_bytes(const std::shared_ptr<const Csr>& a) {
+  if (!a) return 0;
+  return vector_bytes(a->row_ptr) + vector_bytes(a->col_idx) +
+         vector_bytes(a->values) + csr_bytes(a->transpose_cache);
 }
 
 }  // namespace
@@ -111,6 +122,21 @@ std::shared_ptr<const CompiledBatch> CompiledBatch::compile_owned(
   return plan;
 }
 
+std::int64_t CompiledBatch::bytes() const {
+  std::int64_t total = csr_bytes(hrt_) + csr_bytes(ht_) +
+                       csr_bytes(relation_selection_) +
+                       csr_bytes(head_selection_) + csr_bytes(tail_selection_);
+  if (owned_) total += vector_bytes(*owned_);
+  if (relation_indices_) total += vector_bytes(*relation_indices_);
+  if (relation_groups_) {
+    total += vector_bytes(relation_groups_->order) +
+             vector_bytes(relation_groups_->offsets) +
+             vector_bytes(relation_groups_->rels);
+  }
+  if (row_support_) total += row_support_->bytes();
+  return total;
+}
+
 const std::shared_ptr<const Csr>& CompiledBatch::hrt() const {
   SPTX_CHECK(hrt_ != nullptr, "plan compiled without hrt incidence");
   return hrt_;
@@ -197,6 +223,7 @@ PlanCache::Stats PlanCache::stats() const {
   s.misses = misses_;
   s.invalidations = invalidations_;
   s.entries = static_cast<std::int64_t>(entries_.size());
+  for (const auto& [key, plan] : entries_) s.bytes += plan->bytes();
   return s;
 }
 

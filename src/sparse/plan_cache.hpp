@@ -99,6 +99,11 @@ class CompiledBatch {
   std::span<const Triplet> triplets() const { return view_; }
   index_t size() const { return static_cast<index_t>(view_.size()); }
 
+  /// Heap bytes the plan holds: its CSR arrays with their cached
+  /// transposes, owned triplets, relation indices and groups, and the
+  /// RowSupport bitmap. A viewed batch's triplets are not counted.
+  std::int64_t bytes() const;
+
   /// Accessors SPTX_CHECK that the recipe requested the structure — a miss
   /// means the model's recipe() and forward() disagree.
   const std::shared_ptr<const Csr>& hrt() const;
@@ -137,9 +142,10 @@ class CompiledBatch {
 };
 
 /// Keyed store of compiled plans with explicit invalidation. Thread-safe:
-/// the kPrefetch pool task inserts next-epoch plans while the training
-/// thread may still be reading — entries are shared_ptr so a concurrently
-/// evicted plan stays alive for whoever holds it.
+/// the trainer's kPrefetch lookahead task resolves and inserts the next
+/// batch's plans while the training thread executes the current one —
+/// entries are shared_ptr so a concurrently evicted plan stays alive for
+/// whoever holds it.
 class PlanCache {
  public:
   using Key = std::uint64_t;
@@ -149,6 +155,7 @@ class PlanCache {
     std::int64_t misses = 0;
     std::int64_t invalidations = 0;  // invalidate() calls that dropped entries
     std::int64_t entries = 0;        // plans resident right now
+    std::int64_t bytes = 0;          // CompiledBatch::bytes of those plans
   };
 
   /// The cached plan for `key`, or null (counts a hit or a miss).

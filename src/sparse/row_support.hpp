@@ -66,6 +66,11 @@ class RowSupport {
   index_t num_entities() const { return num_entities_; }
   index_t num_relations() const { return num_relations_; }
 
+  /// Heap bytes of the bitmap.
+  std::int64_t bytes() const {
+    return static_cast<std::int64_t>(words_.size() * sizeof(std::uint64_t));
+  }
+
   /// Whether stacked row `row` (entity id, or N + relation id) is marked.
   bool contains(index_t row) const {
     return (words_[static_cast<std::size_t>(row) >> 6] >>

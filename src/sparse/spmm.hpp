@@ -53,7 +53,7 @@ Matrix spmm_csr_reference(const Csr& a, const Matrix& x);
 /// Would spmm_csr_transposed_accumulate take the cached-transpose path for
 /// (a, dim) at the current pool width? Exposed so batch-plan compilation can
 /// pre-build A.transposed() off the training hot path (possibly in the
-/// prefetch task) instead of inside the first backward pass of the epoch.
+/// trainer's lookahead task) instead of inside the batch's backward pass.
 bool spmm_backward_uses_transpose(const Csr& a, index_t dim);
 
 /// dX += Aᵀ · g where g is (A.rows × d): the SpMM backward pass. Two

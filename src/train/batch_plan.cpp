@@ -36,52 +36,71 @@ std::vector<Triplet> stage_batch(const EpochBatchSource& src, index_t begin,
 
 }  // namespace
 
-std::vector<BatchPlan> compile_epoch_plans(const EpochBatchSource& source,
-                                           const sparse::ScoringRecipe& recipe,
-                                           sparse::PlanCache* cache) {
+std::int64_t BatchPlan::bytes() const {
+  return (pos ? pos->bytes() : 0) + (neg ? neg->bytes() : 0);
+}
+
+index_t EpochBatchSource::num_batches() const {
+  return (data.size() + batch_size - 1) / batch_size;
+}
+
+BatchPlan compile_batch_plan(const EpochBatchSource& source,
+                             const sparse::ScoringRecipe& recipe,
+                             index_t ordinal, sparse::PlanCache* cache) {
   SPTX_CHECK(source.data.valid() && source.batch_size > 0 && source.k >= 1,
              "bad epoch batch source");
   const index_t m = source.data.size();
   SPTX_CHECK(static_cast<index_t>(source.negatives.size()) ==
                  m * static_cast<index_t>(source.k),
              "negatives/positives size mismatch");
+  SPTX_CHECK(ordinal >= 0 && ordinal < source.num_batches(),
+             "batch ordinal " << ordinal << " out of range");
   const bool stage = !source.positions.empty() || source.k > 1;
-  const index_t n = source.data.num_entities();
-  const index_t r = source.data.num_relations();
+  const index_t n = source.num_entities > 0 ? source.num_entities
+                                            : source.data.num_entities();
+  const index_t r = source.num_relations > 0 ? source.num_relations
+                                             : source.data.num_relations();
+  const index_t begin = ordinal * source.batch_size;
+  const index_t count = std::min<index_t>(source.batch_size, m - begin);
 
+  auto compile_side = [&](bool is_pos) {
+    const sparse::PlanCache::Key key =
+        (static_cast<sparse::PlanCache::Key>(ordinal) << 1) |
+        (is_pos ? 0u : 1u);
+    if (cache) {
+      if (auto plan = cache->find(key)) return plan;
+    }
+    std::shared_ptr<const sparse::CompiledBatch> plan;
+    if (stage) {
+      plan = sparse::CompiledBatch::compile_owned(
+          stage_batch(source, begin, count, is_pos), recipe, n, r);
+    } else {
+      const std::span<const Triplet> span =
+          is_pos ? source.data.slice(begin, count)
+                 : source.negatives.subspan(static_cast<std::size_t>(begin),
+                                            static_cast<std::size_t>(count));
+      plan = sparse::CompiledBatch::compile(span, recipe, n, r,
+                                            /*copy_triplets=*/false);
+    }
+    if (cache) cache->put(key, plan);
+    return plan;
+  };
+  BatchPlan bp;
+  bp.pos = compile_side(/*is_pos=*/true);
+  bp.neg = compile_side(/*is_pos=*/false);
+  return bp;
+}
+
+std::vector<BatchPlan> compile_epoch_plans(const EpochBatchSource& source,
+                                           const sparse::ScoringRecipe& recipe,
+                                           sparse::PlanCache* cache) {
+  SPTX_CHECK(source.data.valid() && source.batch_size > 0,
+             "bad epoch batch source");
+  const index_t batches = source.num_batches();
   std::vector<BatchPlan> plans;
-  plans.reserve(static_cast<std::size_t>((m + source.batch_size - 1) /
-                                         source.batch_size));
-  index_t ordinal = 0;
-  for (index_t begin = 0; begin < m; begin += source.batch_size, ++ordinal) {
-    const index_t count = std::min<index_t>(source.batch_size, m - begin);
-    auto compile_side = [&](bool is_pos) {
-      const sparse::PlanCache::Key key =
-          (static_cast<sparse::PlanCache::Key>(ordinal) << 1) |
-          (is_pos ? 0u : 1u);
-      if (cache) {
-        if (auto plan = cache->find(key)) return plan;
-      }
-      std::shared_ptr<const sparse::CompiledBatch> plan;
-      if (stage) {
-        plan = sparse::CompiledBatch::compile_owned(
-            stage_batch(source, begin, count, is_pos), recipe, n, r);
-      } else {
-        const std::span<const Triplet> span =
-            is_pos ? source.data.slice(begin, count)
-                   : source.negatives.subspan(static_cast<std::size_t>(begin),
-                                              static_cast<std::size_t>(count));
-        plan = sparse::CompiledBatch::compile(span, recipe, n, r,
-                                              /*copy_triplets=*/false);
-      }
-      if (cache) cache->put(key, plan);
-      return plan;
-    };
-    BatchPlan bp;
-    bp.pos = compile_side(/*is_pos=*/true);
-    bp.neg = compile_side(/*is_pos=*/false);
-    plans.push_back(std::move(bp));
-  }
+  plans.reserve(static_cast<std::size_t>(batches));
+  for (index_t b = 0; b < batches; ++b)
+    plans.push_back(compile_batch_plan(source, recipe, b, cache));
   return plans;
 }
 

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -214,9 +213,12 @@ struct TrainLoop {
   }
 };
 
-/// Staged pipeline: plan-compile → forward/backward → step, with plans
-/// cached across epochs or, when the schedule varies, prefetched one epoch
-/// ahead.
+/// Staged pipeline: plan-compile → forward/backward → step, one batch
+/// ahead. While batch b executes, a kPrefetch pool task compiles batch b+1
+/// (after an epoch's last batch: the next epoch's first), and batch b's
+/// plan is dropped after its step, so at most two batch pairs are alive.
+/// An epoch-invariant schedule resolves every lookahead through the plan
+/// cache; shuffle or resampling compile each batch afresh.
 void run_planned(TrainLoop& loop) {
   const TrainConfig& config = loop.config;
   const TripletStore& data = loop.data;
@@ -230,15 +232,21 @@ void run_planned(TrainLoop& loop) {
       scoring ? scoring->recipe() : sparse::ScoringRecipe{};
   recipe.row_support = true;  // the row-sparse step's per-batch support
 
+  // A varying schedule never revisits a plan, so it bypasses the cache
+  // rather than keep an epoch's plans resident.
   const bool variant = config.shuffle || config.resample_negatives;
-
   sparse::PlanCache cache;
+  sparse::PlanCache* const plan_cache = variant ? nullptr : &cache;
+
   std::vector<index_t> positions;  // pair permutation; empty = identity
   if (config.shuffle) {
     positions.resize(static_cast<std::size_t>(m));
     for (std::size_t i = 0; i < positions.size(); ++i)
       positions[i] = static_cast<index_t>(i);
   }
+  // Epoch e+1's RNG-driven inputs, drawn at the start of epoch e.
+  std::vector<Triplet> next_negatives;
+  std::vector<index_t> next_positions;
 
   auto make_source = [&](const std::vector<Triplet>& negs,
                          const std::vector<index_t>& perm) {
@@ -248,15 +256,17 @@ void run_planned(TrainLoop& loop) {
     src.positions = perm;
     src.k = k;
     src.batch_size = config.batch_size;
+    src.num_entities = loop.model.num_entities();
+    src.num_relations = loop.model.num_relations();
     return src;
   };
 
-  // Stage 1 for the first epoch: the schedule's first compilation. A
-  // resumed run adopts the checkpoint's in-flight permutation instead of
-  // drawing a fresh shuffle — the interrupted run already consumed that
-  // RNG when it derived this epoch's inputs.
-  std::vector<BatchPlan> plans;
+  BatchPlan current;  // the executing batch
+  BatchPlan next;     // the lookahead task's output
   if (config.epochs > loop.start_epoch) {
+    // A resumed run adopts the checkpoint's in-flight permutation instead
+    // of drawing a fresh shuffle — the interrupted run already consumed
+    // that RNG when it derived this epoch's inputs.
     if (config.shuffle) {
       if (loop.resumed) {
         SPTX_CHECK(loop.restored_positions.size() == positions.size(),
@@ -268,9 +278,13 @@ void run_planned(TrainLoop& loop) {
       }
     }
     profiling::ScopedAccum plan_timer(loop.result.plan_compile_s);
-    plans = compile_epoch_plans(make_source(loop.negatives, positions), recipe,
-                                &cache);
+    current = compile_batch_plan(make_source(loop.negatives, positions),
+                                 recipe, 0, plan_cache);
   }
+  // Declared after everything the lookahead task reads or writes:
+  // unwinding destroys in reverse order, so a batch that throws drains the
+  // task while its inputs and output slot are still alive.
+  runtime::TaskGroup lookahead;
 
   // The row-sparse step clears only the rows it updates, so the gradients
   // start from zero once here instead of once per batch.
@@ -278,19 +292,10 @@ void run_planned(TrainLoop& loop) {
   for (int epoch = loop.start_epoch; epoch < config.epochs; ++epoch) {
     loop.apply_schedule(epoch);
 
-    // Stage 1 for epoch e+1: the driving thread derives all RNG-dependent
-    // inputs (so the stream does not depend on the pool), then the compile
-    // runs as a pool task while this epoch executes.
-    std::vector<BatchPlan> next_plans;
-    std::vector<Triplet> next_negatives;
-    std::vector<index_t> next_positions;
-    std::exception_ptr prefetch_error;
-    // Declared after everything the task writes: unwinding destroys in
-    // reverse order, so the draining destructor runs while those locals
-    // are still alive.
-    runtime::TaskGroup prefetch_group;
-    bool have_next = false;
-    if (variant && epoch + 1 < config.epochs) {
+    // The driving thread derives epoch e+1's RNG-dependent inputs up front,
+    // so the stream does not depend on the pool.
+    const bool has_next_epoch = epoch + 1 < config.epochs;
+    if (variant && has_next_epoch) {
       if (config.resample_negatives) {
         next_negatives =
             loop.sampler.pregenerate_k(data.triplets(), k, loop.rng);
@@ -299,64 +304,59 @@ void run_planned(TrainLoop& loop) {
         next_positions = positions;
         shuffle_positions(next_positions, loop.rng);
       }
-      have_next = true;
-      // Exceptions in the task (bad_alloc compiling a large epoch, a
-      // failed SPTX_CHECK) are captured and rethrown at the join point. The
-      // compile is a kPrefetch task on the shared pool; a zero-worker pool
-      // runs it inside the wait below.
-      auto compile_next = [&]() {
-        try {
-          cache.invalidate();
-          next_plans = compile_epoch_plans(
-              make_source(config.resample_negatives ? next_negatives
-                                                    : loop.negatives,
-                          config.shuffle ? next_positions : positions),
-              recipe, &cache);
-        } catch (...) {
-          prefetch_error = std::current_exception();
-        }
-      };
-      runtime::TaskPool::instance().submit(prefetch_group,
-                                           std::move(compile_next),
-                                           runtime::TaskClass::kPrefetch);
-    } else if (!variant && epoch > loop.start_epoch) {
-      // Epoch-invariant schedule: re-resolve through the cache (all hits —
-      // the zero-rebuild property the tests assert).
-      profiling::ScopedAccum plan_timer(loop.result.plan_compile_s);
-      plans = compile_epoch_plans(make_source(loop.negatives, positions),
-                                  recipe, &cache);
     }
+    const EpochBatchSource this_epoch =
+        make_source(loop.negatives, positions);
+    const EpochBatchSource next_epoch =
+        variant ? make_source(config.resample_negatives ? next_negatives
+                                                        : loop.negatives,
+                              config.shuffle ? next_positions : positions)
+                : this_epoch;
 
-    // Stage 2: execute the compiled schedule.
     double loss_sum = 0.0;
-    index_t batches = 0;
-    for (const BatchPlan& bp : plans) {
+    const index_t batches = this_epoch.num_batches();
+    for (index_t b = 0; b < batches; ++b) {
+      // Lookahead: a failed compile is captured by the group and rethrown
+      // by wait(). A zero-worker pool runs the task inside the wait.
+      const bool last = b + 1 == batches;
+      const bool ahead = !last || has_next_epoch;
+      if (ahead) {
+        runtime::TaskPool::instance().submit(
+            lookahead,
+            [&next, &recipe, plan_cache, src = last ? next_epoch : this_epoch,
+             ordinal = last ? index_t{0} : b + 1]() {
+              next = compile_batch_plan(src, recipe, ordinal, plan_cache);
+            },
+            runtime::TaskClass::kPrefetch);
+      }
       loss_sum += loop.run_batch(
           [&]() {
-            return scoring ? scoring->loss(*bp.pos, *bp.neg)
-                           : loop.model.loss(bp.pos->triplets(),
-                                             bp.neg->triplets());
+            return scoring ? scoring->loss(*current.pos, *current.neg)
+                           : loop.model.loss(current.pos->triplets(),
+                                             current.neg->triplets());
           },
-          bp);
-      ++batches;
+          current);
+      if (ahead) {
+        // Join waits count as plan time: they are the pipeline bubble the
+        // lookahead exists to hide.
+        profiling::ScopedAccum plan_timer(loop.result.plan_compile_s);
+        lookahead.wait();
+      }
+      loop.result.peak_plan_bytes = std::max(loop.result.peak_plan_bytes,
+                                             current.bytes() + next.bytes());
+      current = std::move(next);  // drops batch b's plan
     }
 
     const bool stop = loop.finish_epoch(epoch, loss_sum, batches);
 
-    // Stage 3: adopt the prefetched schedule (join waits count as plan
-    // time — they are the pipeline bubble prefetch exists to hide).
-    // Adoption runs even when early stopping fires so a checkpoint taken
-    // here captures the state a resumed run continues from.
-    if (prefetch_group.pending() > 0) {
-      profiling::ScopedAccum plan_timer(loop.result.plan_compile_s);
-      prefetch_group.wait();
-    }
-    if (prefetch_error) std::rethrow_exception(prefetch_error);
-    if (have_next) {
+    // Adopt epoch e+1's inputs — even when early stopping fires, so a
+    // checkpoint taken here captures the state a resumed run continues
+    // from. Moving a vector keeps its buffer, so the lookahead plan that
+    // views next_negatives stays valid.
+    if (variant && has_next_epoch) {
       if (config.resample_negatives)
         loop.negatives = std::move(next_negatives);
       if (config.shuffle) positions = std::move(next_positions);
-      plans = std::move(next_plans);
     }
     // Crash safety: checkpoint after the epoch's update is fully applied
     // and epoch e+1's inputs are adopted — the exact cut a resumed run
@@ -366,6 +366,9 @@ void run_planned(TrainLoop& loop) {
   }
 
   loop.result.plan_stats = cache.stats();
+  // An invariant schedule's plans all stay resident in the cache.
+  loop.result.peak_plan_bytes =
+      std::max(loop.result.peak_plan_bytes, loop.result.plan_stats.bytes);
 }
 
 }  // namespace

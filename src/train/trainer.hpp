@@ -8,16 +8,18 @@
 // of Table 1 / Figure 8, and snapshots FLOPs and peak tracked memory for
 // Tables 5/6.
 //
-// Each epoch runs in two stages: plan compilation (stage the batch pairs,
+// Each batch runs in two stages: plan compilation (stage the batch pair,
 // pre-build the incidence matrices the model's ScoringRecipe names — see
 // batch_plan.hpp) and execution (forward/backward/step over the compiled
-// plans). Plans live in a sparse::PlanCache: with the paper's fixed-order
-// protocol (no shuffle, no negative resampling) the schedule is
-// epoch-invariant and every epoch after the first runs with zero incidence
-// rebuilds; shuffle / resample_negatives invalidate the cache and
-// recompile as a kPrefetch pool task that compiles epoch e+1 while epoch e
-// executes (double buffering; a width-1 pool runs it inside the join). The
-// result is bit-exact at every pool width because all RNG stays on the
+// plan). The stages overlap one batch apart: while batch b executes, a
+// kPrefetch pool task compiles batch b+1 (after an epoch's last batch, the
+// next epoch's first), and batch b's plan is dropped after its step, so at
+// most two batch pairs are alive (TrainResult::peak_plan_bytes). With the
+// paper's fixed-order protocol (no shuffle, no negative resampling) the
+// schedule is epoch-invariant: the lookahead resolves through a
+// sparse::PlanCache and every epoch after the first runs with zero
+// incidence rebuilds. A width-1 pool runs the lookahead inside the join.
+// The result is bit-exact at every pool width because all RNG stays on the
 // driving thread.
 #pragma once
 
@@ -96,10 +98,15 @@ struct TrainResult {
   double total_seconds = 0.0;
   std::int64_t peak_bytes = 0;        // tracked allocation high-water mark
   std::int64_t flops = 0;             // FLOPs spent inside the loop
-  /// Plan-compilation stage: synchronous compiles plus time spent waiting
-  /// on the kPrefetch pool task at epoch boundaries.
+  /// Plan-compilation stage: the first batch's synchronous compile plus
+  /// time spent waiting on the kPrefetch lookahead task after each batch.
   double plan_compile_s = 0.0;
-  /// Plan-cache traffic for the run (hits/misses/invalidations).
+  /// High-water mark of the heap bytes held by the plans the loop keeps
+  /// alive (CompiledBatch::bytes): the executing and the lookahead batch
+  /// pair, or every cached plan of an epoch-invariant schedule.
+  std::int64_t peak_plan_bytes = 0;
+  /// Plan-cache traffic for the run (hits/misses/invalidations); all zero
+  /// for a shuffled or resampled schedule, which bypasses the cache.
   sparse::PlanCache::Stats plan_stats;
   /// Incidence-matrix builder invocations inside the run; with an
   /// epoch-invariant schedule everything after epoch 0 must be zero.

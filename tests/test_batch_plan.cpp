@@ -6,8 +6,9 @@
 // resampled negatives included — and the scoring core over a compiled plan
 // matches the span-based distance() bit-for-bit for every model family.
 // The profiling counters prove the structural claims — zero incidence
-// rebuilds after the first epoch of an invariant schedule and full
-// invalidation under shuffle / negative resampling.
+// rebuilds after the first epoch of an invariant schedule and one full
+// build per epoch under shuffle / negative resampling — and the plan byte
+// count bounds what the one-batch lookahead keeps alive.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/kg/negative_sampler.hpp"
 #include "src/kg/synthetic.hpp"
 #include "src/models/model.hpp"
@@ -138,25 +140,127 @@ TEST(BatchPlan, EpochPlansStageTheDirectPairing) {
   }
 }
 
-// A shuffled, resampled schedule recompiles every epoch as a kPrefetch pool
-// task. At pool width 1 the task runs inline inside the join; at width 2 a
-// worker compiles epoch e+1 while epoch e executes. Both must train the
-// same losses bit for bit, because all RNG stays on the driving thread.
+// Every batch compiles one batch ahead as a kPrefetch pool task. At pool
+// width 1 the task runs inline inside the join; at widths 2 and 4 a worker
+// compiles batch b+1 while batch b executes, next to the batch's own
+// parallel regions. A shuffled, resampled k = 2 schedule must train the
+// same losses and parameters bit for bit at every width, because all RNG
+// stays on the driving thread.
 TEST(BatchPlan, PrefetchTaskBitExactAcrossPoolWidths) {
   const kg::Dataset ds = small_dataset();
   runtime::TaskPool& pool = runtime::TaskPool::instance();
   const int width_before = pool.threads();
   for (const std::string& name :
        {std::string("TransE"), std::string("TransR"), std::string("ComplEx")}) {
-    train::TrainConfig tc = base_config();
-    tc.shuffle = true;
-    tc.resample_negatives = true;
-    pool.resize(1);
-    const train::TrainResult inline_compile = run(name, ds, tc);
-    pool.resize(2);
-    const train::TrainResult pooled_compile = run(name, ds, tc);
-    expect_identical_losses(inline_compile, pooled_compile,
-                            name + " pool width 1/2");
+    for (const int k : {1, 2}) {
+      train::TrainConfig tc = base_config();
+      tc.shuffle = true;
+      tc.resample_negatives = true;
+      tc.negatives_per_positive = k;
+      std::unique_ptr<models::KgeModel> reference;
+      train::TrainResult reference_result;
+      for (const int width : {1, 2, 4}) {
+        pool.resize(width);
+        Rng rng(5);
+        auto model = models::make_sparse_model(
+            name, ds.num_entities(), ds.num_relations(), cfg16(), rng);
+        const train::TrainResult result = train::train(*model, ds.train, tc);
+        const std::string what = name + " k=" + std::to_string(k) +
+                                 " pool width " + std::to_string(width);
+        if (!reference) {
+          reference = std::move(model);
+          reference_result = result;
+          continue;
+        }
+        expect_identical_losses(reference_result, result, what);
+        const auto want = reference->params();
+        const auto got = model->params();
+        ASSERT_EQ(want.size(), got.size()) << what;
+        for (std::size_t i = 0; i < want.size(); ++i)
+          EXPECT_EQ(max_abs_diff(want[i].value(), got[i].value()), 0.0f)
+              << what << " param " << i;
+      }
+    }
+  }
+  pool.resize(width_before);
+}
+
+// The lookahead keeps only the executing and the next batch pair alive.
+// Bound the run's plan high-water mark by two of the largest pairs it
+// compiles: the test redraws the run's per-epoch negatives (the trainer's
+// RNG protocol — one draw at construction, then one per later epoch) and
+// compiles every epoch's pairs to find that largest pair.
+TEST(BatchPlan, PeakPlanBytesStaysWithinTwoBatchPairs) {
+  const kg::Dataset ds = small_dataset();
+  train::TrainConfig tc = base_config();
+  tc.resample_negatives = true;
+  Rng init(5);
+  auto model = models::make_sparse_model("TransE", ds.num_entities(),
+                                         ds.num_relations(), cfg16(), init);
+  auto* scoring = dynamic_cast<models::ScoringCoreModel*>(model.get());
+  ASSERT_NE(scoring, nullptr);
+  sparse::ScoringRecipe recipe = scoring->recipe();
+  recipe.row_support = true;
+
+  Rng rng(tc.seed);
+  kg::NegativeSampler sampler(ds.train, tc.corruption);
+  std::int64_t largest_pair = 0;
+  index_t batches = 0;
+  for (int epoch = 0; epoch < tc.epochs; ++epoch) {
+    const std::vector<Triplet> negatives =
+        sampler.pregenerate_k(ds.train.triplets(), 1, rng);
+    train::EpochBatchSource src;
+    src.data = kg::TripletSource(ds.train);
+    src.negatives = negatives;
+    src.batch_size = tc.batch_size;
+    const auto plans = train::compile_epoch_plans(src, recipe, nullptr);
+    batches = static_cast<index_t>(plans.size());
+    for (const train::BatchPlan& bp : plans)
+      largest_pair = std::max(largest_pair, bp.bytes());
+  }
+  ASSERT_GE(batches, 3);  // so two pairs is less than an epoch's worth
+  ASSERT_GT(largest_pair, 0);
+
+  const train::TrainResult result = train::train(*model, ds.train, tc);
+  EXPECT_GT(result.peak_plan_bytes, largest_pair);
+  EXPECT_LE(result.peak_plan_bytes, 2 * largest_pair);
+  EXPECT_EQ(result.plan_stats.entries, 0);  // nothing parked in the cache
+}
+
+// A lookahead compile that throws — here on a relation id the model has no
+// row for, present only from the second batch on — must surface from
+// train() as sptx::Error at every pool width, without hanging and without
+// leaving its task behind in the pool.
+TEST(BatchPlan, LookaheadCompileErrorSurfacesFromTrain) {
+  const kg::Dataset ds = small_dataset();
+  const train::TrainConfig base = base_config();
+  std::vector<Triplet> triplets(ds.train.triplets().begin(),
+                                ds.train.triplets().end());
+  ASSERT_GT(static_cast<index_t>(triplets.size()), 2 * base.batch_size);
+  const index_t oov_relation = ds.num_relations();
+  triplets[static_cast<std::size_t>(base.batch_size) + 3].relation =
+      oov_relation;
+  const TripletStore store(ds.num_entities(), ds.num_relations() + 1,
+                           std::move(triplets));
+
+  runtime::TaskPool& pool = runtime::TaskPool::instance();
+  const int width_before = pool.threads();
+  const auto prefetch = static_cast<int>(runtime::TaskClass::kPrefetch);
+  for (const bool resample : {false, true}) {
+    for (const int width : {1, 2, 4}) {
+      pool.resize(width);
+      train::TrainConfig tc = base;
+      tc.resample_negatives = resample;
+      Rng rng(5);
+      auto model = models::make_sparse_model(
+          "TransE", ds.num_entities(), ds.num_relations(), cfg16(), rng);
+      EXPECT_THROW(train::train(*model, store, tc), Error)
+          << "resample " << resample << " width " << width;
+      const auto stats = pool.stats();
+      EXPECT_EQ(stats.per_class[prefetch].submitted,
+                stats.per_class[prefetch].executed)
+          << "resample " << resample << " width " << width;
+    }
   }
   pool.resize(width_before);
 }
@@ -186,29 +290,37 @@ TEST(BatchPlan, InvariantScheduleRebuildsNothingAfterFirstEpoch) {
   }
 }
 
-TEST(BatchPlan, ShuffleInvalidatesEveryEpoch) {
+// A shuffled or resampled schedule never revisits a plan: it bypasses the
+// cache and builds every epoch's incidence afresh.
+TEST(BatchPlan, ShuffleRecompilesEveryEpoch) {
   const kg::Dataset ds = small_dataset();
   train::TrainConfig tc = base_config();
   tc.epochs = 3;
   tc.shuffle = true;
   const auto r = run("TransE", ds, tc);
   EXPECT_EQ(r.plan_stats.hits, 0);
-  EXPECT_EQ(r.plan_stats.invalidations, tc.epochs - 1);
+  EXPECT_EQ(r.plan_stats.entries, 0);
   // Every epoch rebuilds its incidence: builds scale with epoch count.
   train::TrainConfig one = tc;
   one.epochs = 1;
   const auto r1 = run("TransE", ds, one);
+  EXPECT_GT(r1.incidence_builds, 0);
   EXPECT_EQ(r.incidence_builds, 3 * r1.incidence_builds);
 }
 
-TEST(BatchPlan, ResampleInvalidatesEveryEpoch) {
+TEST(BatchPlan, ResampleRecompilesEveryEpoch) {
   const kg::Dataset ds = small_dataset();
   train::TrainConfig tc = base_config();
   tc.epochs = 3;
   tc.resample_negatives = true;
   const auto r = run("TransE", ds, tc);
   EXPECT_EQ(r.plan_stats.hits, 0);
-  EXPECT_EQ(r.plan_stats.invalidations, tc.epochs - 1);
+  EXPECT_EQ(r.plan_stats.entries, 0);
+  train::TrainConfig one = tc;
+  one.epochs = 1;
+  const auto r1 = run("TransE", ds, one);
+  EXPECT_GT(r1.incidence_builds, 0);
+  EXPECT_EQ(r.incidence_builds, 3 * r1.incidence_builds);
 }
 
 // ---- CompiledBatch against the direct builders ---------------------------

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/cli_args.hpp"
 
@@ -60,6 +63,36 @@ TEST(CliArgs, KnownCommandMatchesExactly) {
   EXPECT_FALSE(known_command("Train", known));
   EXPECT_FALSE(known_command("trains", known));
   EXPECT_FALSE(known_command("", known));
+}
+
+// `sptx train --ddp-mode ...` does not read the single-process trainer's
+// options; a non-default value must fail naming the option instead of
+// training silently without it.
+TEST(CliArgs, DdpTrainRejectsSingleProcessOptions) {
+  const std::vector<std::pair<const char*, const char*>> rejected = {
+      {"--optimizer", "adagrad"},     {"--shuffle", "1"},
+      {"--resample-negatives", "1"},  {"--negatives", "4"},
+      {"--corruption", "bernoulli"},  {"--weight-decay", "0.01"},
+      {"--clip-norm", "5"},           {"--patience", "3"},
+  };
+  for (const auto& [flag, value] : rejected) {
+    const Args args = parse({"sptx", "train", "--ddp-mode", "threads", flag,
+                             value});
+    try {
+      reject_non_default(args, kSingleProcessTrainOptions, "ddp training");
+      ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  }
+  // Defaults, spelled any way that parses to the same value, stay legal.
+  const Args defaults = parse({"sptx", "train", "--ddp-mode", "threads",
+                               "--optimizer", "sgd", "--shuffle", "0",
+                               "--negatives", "1.0", "--weight-decay", "0.0",
+                               "--corruption", "uniform"});
+  EXPECT_NO_THROW(
+      reject_non_default(defaults, kSingleProcessTrainOptions, "ddp"));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Crash-safety end to end: checkpoint/resume bit-identity for the training
-// loop (both pipelines, three model families), a real kill-and-resume drill
-// driven by the fault harness (the child process is _Exit(137)'d mid
-// checkpoint write, the parent resumes from the surviving rotation), and
-// DDP worker-death recovery / clean abort / checkpoint resume.
+// loop (three model families, pool widths 1, 2 and 4), a real
+// kill-and-resume drill driven by the fault harness (the child process is
+// _Exit(137)'d mid checkpoint write, the parent resumes from the surviving
+// rotation), and DDP worker-death recovery / clean abort / checkpoint resume.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -224,6 +224,46 @@ TEST_P(CrashResumeTest, KillMidCheckpointThenResumeIsBitIdentical) {
   EXPECT_EQ(result.start_epoch, 2);
   EXPECT_EQ(ckpt_bytes(*model_c), want);
   remove_rotations(base);
+}
+
+// The one-batch lookahead at every pool width: k = 2 on top of shuffle and
+// resampling, uninterrupted and resumed mid-run, must reach the width-1
+// run's bytes. At width 1 the lookahead runs inside the join; at 2 and 4 a
+// worker compiles the next batch while the current one executes.
+TEST_P(CrashResumeTest, TwoNegativesResumeBitExactAcrossPoolWidths) {
+  runtime::TaskPool& pool = runtime::TaskPool::instance();
+  const int width_before = pool.threads();
+  auto tc = base_config();
+  tc.negatives_per_positive = 2;
+  pool.resize(1);
+  auto model_a = make(3);
+  train::train(*model_a, ds.train, tc);
+  const std::string want = ckpt_bytes(*model_a);
+
+  for (const int width : {1, 2, 4}) {
+    pool.resize(width);
+    const std::string what = tag() + " pool width " + std::to_string(width);
+    const std::string base = scratch_dir() + "/k2_" + tag() + "_w" +
+                             std::to_string(width);
+    remove_rotations(base);
+    auto tc_b = tc;
+    tc_b.checkpoint_every = 2;
+    tc_b.checkpoint_path = base;
+    tc_b.checkpoint_keep = 0;
+    auto model_b = make(3);
+    train::train(*model_b, ds.train, tc_b);
+    EXPECT_EQ(ckpt_bytes(*model_b), want) << what;
+
+    // Resume from the middle of the run (epoch 2 of 6).
+    auto tc_c = tc;
+    tc_c.resume_from = models::checkpoint_path_for_epoch(base, 2);
+    auto model_c = make(99);
+    const auto result_c = train::train(*model_c, ds.train, tc_c);
+    EXPECT_EQ(result_c.start_epoch, 2) << what;
+    EXPECT_EQ(ckpt_bytes(*model_c), want) << what;
+    remove_rotations(base);
+  }
+  pool.resize(width_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, CrashResumeTest,

@@ -196,6 +196,12 @@ int cmd_ddp_worker(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
+  const bool ddp = args.has("ddp-workers") || args.has("ddp-mode");
+  if (ddp) {
+    cli::reject_non_default(args, cli::kSingleProcessTrainOptions,
+                            "data-parallel training (--ddp-workers / "
+                            "--ddp-mode)");
+  }
   const kg::Dataset ds = load_dataset(args);
   std::printf("dataset %s: %lld entities, %lld relations, %lld/%lld/%lld "
               "train/valid/test\n",
@@ -206,8 +212,7 @@ int cmd_train(const Args& args) {
               static_cast<long long>(ds.test.size()));
   Engine engine(engine_options(args));
   init_model(engine, args, ds);
-  if (args.has("ddp-workers") || args.has("ddp-mode"))
-    return run_ddp_train(engine, args, ds);
+  if (ddp) return run_ddp_train(engine, args, ds);
 
   train::TrainConfig tc;
   tc.epochs = static_cast<int>(args.num("epochs", 200));
