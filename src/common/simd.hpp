@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/common/cpu_features.hpp"
@@ -24,6 +25,14 @@
 #endif
 
 namespace sptx::simd {
+
+/// Software-prefetch policy of the gather kernels (the SpMM engine and the
+/// fused scoring kernels): prefetch the rows of the item kPrefetchAhead
+/// positions ahead, and only once the gathered table holds at least
+/// kPrefetchMinBytes — below that its rows stay in the fast caches and a
+/// prefetch only burns issue slots.
+inline constexpr int kPrefetchAhead = 4;
+inline constexpr std::size_t kPrefetchMinBytes = std::size_t{4} << 20;
 
 namespace detail {
 

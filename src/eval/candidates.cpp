@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/profiling/counters.hpp"
+
 namespace sptx::eval {
 
 std::vector<float> score_candidates(const models::KgeModel& model,
@@ -37,16 +39,23 @@ double filtered_rank(std::span<const float> scores, const CandidateQuery& query,
                      std::int64_t truth, bool higher_is_better,
                      const kg::KnownTriplets& known) {
   const float truth_score = scores[static_cast<std::size_t>(truth)];
-  std::int64_t better = 0, ties = 0;
+  std::int64_t better = 0, ties = 0, probes = 0;
   for (index_t e = 0; e < static_cast<index_t>(scores.size()); ++e) {
-    if (e == truth || known.contains(query.candidate(e))) continue;
     const float s = scores[static_cast<std::size_t>(e)];
-    if (higher_is_better ? s > truth_score : s < truth_score) {
+    const bool beats = higher_is_better ? s > truth_score : s < truth_score;
+    // Only a candidate that beats or ties the truth can move the rank, so
+    // only those reach the filter.
+    if (!beats && s != truth_score) continue;
+    if (e == truth) continue;
+    ++probes;
+    if (known.contains(query.candidate(e))) continue;
+    if (beats) {
       ++better;
-    } else if (s == truth_score) {
+    } else {
       ++ties;
     }
   }
+  profiling::count_event(profiling::Counter::kFilterProbes, probes);
   return 1.0 + static_cast<double>(better) + static_cast<double>(ties) / 2.0;
 }
 

@@ -53,7 +53,10 @@ std::vector<float> score_candidates(const models::KgeModel& model,
 /// (the output of score_candidates for `query`): 1 + #strictly better +
 /// #ties/2, where the truth itself and every candidate in `known` are no
 /// competitors. Averaging ties avoids both the optimistic and the
-/// pessimistic tie bias.
+/// pessimistic tie bias. Scores are compared first: only a candidate that
+/// beats or ties the truth is looked up in `known` (the lookups are counted
+/// as Counter::kFilterProbes), which is what keeps a filtered rank query
+/// near the cost of the scan itself.
 double filtered_rank(std::span<const float> scores, const CandidateQuery& query,
                      std::int64_t truth, bool higher_is_better,
                      const kg::KnownTriplets& known);

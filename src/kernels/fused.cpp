@@ -9,11 +9,14 @@
 // sign(0) = 0, the torus wraparound derivative.
 #include "src/kernels/fused.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 
 #include "src/common/cpu_features.hpp"
 #include "src/common/simd.hpp"
 #include "src/profiling/flops.hpp"
+#include "src/runtime/parallel.hpp"
 
 namespace sptx::kernels {
 
@@ -593,6 +596,65 @@ inline float l2_scale(float score, float g) {
   return g / std::max(score, kNormEps);
 }
 
+// ---- batch loops (threading and prefetch: see fused.hpp) -------------------
+
+// Prefetch distance (here in triplets) and table-size threshold: the SpMM
+// engine's (simd.hpp).
+using simd::kPrefetchAhead;
+using simd::kPrefetchMinBytes;
+
+/// Every 64-byte line of one d-float row; kWrite = 1 for gradient rows.
+template <int kWrite = 0>
+inline void prefetch_rows(index_t d, std::initializer_list<const float*> rows) {
+  const std::size_t len = static_cast<std::size_t>(d) * sizeof(float);
+  for (const float* row : rows) {
+    const char* p = reinterpret_cast<const char*>(row);
+    for (std::size_t off = 0; off < len; off += 64)
+      __builtin_prefetch(p + off, kWrite);
+  }
+}
+
+/// Calls chunk(i0, i1) on contiguous slices covering [0, m), each gathering
+/// about kForwardChunkFloats of the `floats_per_triplet` a triplet reads.
+template <typename Chunk>
+void for_each_chunk(std::size_t m, std::int64_t floats_per_triplet,
+                    const Chunk& chunk) {
+  const auto per = static_cast<std::size_t>(std::max<std::int64_t>(
+      1, kForwardChunkFloats / std::max<std::int64_t>(floats_per_triplet, 1)));
+  runtime::parallel_for(
+      0, static_cast<std::int64_t>((m + per - 1) / per),
+      [&](std::int64_t c) {
+        const std::size_t i0 = static_cast<std::size_t>(c) * per;
+        chunk(i0, std::min(m, i0 + per));
+      },
+      /*grain=*/1);
+}
+
+/// Whether triplet i + kPrefetchAhead exists in [.., end) and is worth a
+/// prefetch (`on`: the table is past the fast caches).
+inline bool prefetch_ahead(bool on, std::size_t i, std::size_t end) {
+  return on && i + kPrefetchAhead < end;
+}
+
+/// The h, r, t rows of `t` in a stacked [entities; relations] table.
+template <int kWrite = 0>
+inline void prefetch_hrt(const Matrix& table, index_t num_entities,
+                         const Triplet& t) {
+  prefetch_rows<kWrite>(table.cols(), {table.row(t.head),
+                                       table.row(num_entities + t.relation),
+                                       table.row(t.tail)});
+}
+
+/// Backward prefetch for the stacked-table families: the h, r, t rows of
+/// triplet i + kPrefetchAhead and their gradient rows.
+inline void prefetch_hrt_backward(std::span<const Triplet> batch,
+                                  std::size_t i, const Matrix& table,
+                                  const Matrix& dtable, index_t num_entities) {
+  const Triplet& p = batch[i + kPrefetchAhead];
+  prefetch_hrt(table, num_entities, p);
+  prefetch_hrt<1>(dtable, num_entities, p);
+}
+
 }  // namespace
 
 bool fused_enabled() { return !config::current()->hot().fused_off; }
@@ -603,13 +665,18 @@ void transe_forward(std::span<const Triplet> batch, const Matrix& table,
                     index_t num_entities, Norm norm, float* scores) {
   const index_t d = table.cols();
   const bool simd = simd_enabled();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float acc = hrt_fwd(table.row(t.head),
-                              table.row(num_entities + t.relation),
-                              table.row(t.tail), d, norm, simd);
-    scores[i] = norm == Norm::kL2 ? std::sqrt(acc) : acc;
-  }
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
+  for_each_chunk(batch.size(), 3 * d, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      if (prefetch_ahead(pf, i, i1))
+        prefetch_hrt(table, num_entities, batch[i + kPrefetchAhead]);
+      const Triplet& t = batch[i];
+      const float acc = hrt_fwd(table.row(t.head),
+                                table.row(num_entities + t.relation),
+                                table.row(t.tail), d, norm, simd);
+      scores[i] = norm == Norm::kL2 ? std::sqrt(acc) : acc;
+    }
+  });
   profiling::count_flops(5 * static_cast<std::int64_t>(batch.size()) * d);
 }
 
@@ -618,7 +685,10 @@ void transe_backward(std::span<const Triplet> batch, const Matrix& table,
                      const float* gscores, Matrix& dtable) {
   const index_t d = table.cols();
   const bool simd = simd_enabled();
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (prefetch_ahead(pf, i, batch.size()))
+      prefetch_hrt_backward(batch, i, table, dtable, num_entities);
     const Triplet& t = batch[i];
     const float* h = table.row(t.head);
     const float* r = table.row(num_entities + t.relation);
@@ -642,12 +712,17 @@ void transc_forward(std::span<const Triplet> batch, const Matrix& table,
                     index_t num_entities, float* scores) {
   const index_t d = table.cols();
   const bool simd = simd_enabled();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    scores[i] = hrt_fwd(table.row(t.head),
-                        table.row(num_entities + t.relation),
-                        table.row(t.tail), d, Norm::kL2, simd);
-  }
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
+  for_each_chunk(batch.size(), 3 * d, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      if (prefetch_ahead(pf, i, i1))
+        prefetch_hrt(table, num_entities, batch[i + kPrefetchAhead]);
+      const Triplet& t = batch[i];
+      scores[i] = hrt_fwd(table.row(t.head),
+                          table.row(num_entities + t.relation),
+                          table.row(t.tail), d, Norm::kL2, simd);
+    }
+  });
   profiling::count_flops(5 * static_cast<std::int64_t>(batch.size()) * d);
 }
 
@@ -656,7 +731,10 @@ void transc_backward(std::span<const Triplet> batch, const Matrix& table,
                      Matrix& dtable) {
   const index_t d = table.cols();
   const bool simd = simd_enabled();
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (prefetch_ahead(pf, i, batch.size()))
+      prefetch_hrt_backward(batch, i, table, dtable, num_entities);
     const Triplet& t = batch[i];
     // d(Σv²)/dv = 2v: the squared-L2 tail needs no norm clamp.
     hrt_bwd_scaled(table.row(t.head), table.row(num_entities + t.relation),
@@ -674,12 +752,17 @@ void toruse_forward(std::span<const Triplet> batch, const Matrix& table,
   const index_t d = table.cols();
   const bool simd = simd_enabled();
   const bool l2 = norm == Norm::kL2;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    scores[i] = torus_fwd(table.row(t.head),
-                          table.row(num_entities + t.relation),
-                          table.row(t.tail), d, l2, simd);
-  }
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
+  for_each_chunk(batch.size(), 3 * d, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      if (prefetch_ahead(pf, i, i1))
+        prefetch_hrt(table, num_entities, batch[i + kPrefetchAhead]);
+      const Triplet& t = batch[i];
+      scores[i] = torus_fwd(table.row(t.head),
+                            table.row(num_entities + t.relation),
+                            table.row(t.tail), d, l2, simd);
+    }
+  });
   profiling::count_flops(7 * static_cast<std::int64_t>(batch.size()) * d);
 }
 
@@ -689,7 +772,10 @@ void toruse_backward(std::span<const Triplet> batch, const Matrix& table,
   const index_t d = table.cols();
   const bool simd = simd_enabled();
   const bool l2 = norm == Norm::kL2;
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (prefetch_ahead(pf, i, batch.size()))
+      prefetch_hrt_backward(batch, i, table, dtable, num_entities);
     const Triplet& t = batch[i];
     torus_bwd(table.row(t.head), table.row(num_entities + t.relation),
               table.row(t.tail), dtable.row(t.head),
@@ -706,12 +792,21 @@ void transa_forward(std::span<const Triplet> batch, const Matrix& table,
                     float* scores) {
   const index_t d = table.cols();
   const bool simd = simd_enabled();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    scores[i] = transa_fwd(table.row(t.head),
-                           table.row(num_entities + t.relation),
-                           table.row(t.tail), metric.row(t.relation), d, simd);
-  }
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
+  for_each_chunk(batch.size(), 4 * d, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      if (prefetch_ahead(pf, i, i1)) {
+        const Triplet& p = batch[i + kPrefetchAhead];
+        prefetch_hrt(table, num_entities, p);
+        prefetch_rows(d, {metric.row(p.relation)});
+      }
+      const Triplet& t = batch[i];
+      scores[i] = transa_fwd(table.row(t.head),
+                             table.row(num_entities + t.relation),
+                             table.row(t.tail), metric.row(t.relation), d,
+                             simd);
+    }
+  });
   profiling::count_flops(6 * static_cast<std::int64_t>(batch.size()) * d);
 }
 
@@ -720,7 +815,10 @@ void transa_backward(std::span<const Triplet> batch, const Matrix& table,
                      const float* gscores, Matrix& dtable, Matrix& dmetric) {
   const index_t d = table.cols();
   const bool simd = simd_enabled();
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (prefetch_ahead(pf, i, batch.size()))
+      prefetch_hrt_backward(batch, i, table, dtable, num_entities);
     const Triplet& t = batch[i];
     transa_bwd(table.row(t.head), table.row(num_entities + t.relation),
                table.row(t.tail), metric.row(t.relation), dtable.row(t.head),
@@ -737,14 +835,19 @@ void transm_forward(std::span<const Triplet> batch, const Matrix& table,
                     float* scores) {
   const index_t d = table.cols();
   const bool simd = simd_enabled();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float acc = hrt_fwd(table.row(t.head),
-                              table.row(num_entities + t.relation),
-                              table.row(t.tail), d, norm, simd);
-    const float dist = norm == Norm::kL2 ? std::sqrt(acc) : acc;
-    scores[i] = rel_weight.at(t.relation, 0) * dist;
-  }
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
+  for_each_chunk(batch.size(), 3 * d, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      if (prefetch_ahead(pf, i, i1))
+        prefetch_hrt(table, num_entities, batch[i + kPrefetchAhead]);
+      const Triplet& t = batch[i];
+      const float acc = hrt_fwd(table.row(t.head),
+                                table.row(num_entities + t.relation),
+                                table.row(t.tail), d, norm, simd);
+      const float dist = norm == Norm::kL2 ? std::sqrt(acc) : acc;
+      scores[i] = rel_weight.at(t.relation, 0) * dist;
+    }
+  });
   profiling::count_flops(5 * static_cast<std::int64_t>(batch.size()) * d);
 }
 
@@ -753,7 +856,10 @@ void transm_backward(std::span<const Triplet> batch, const Matrix& table,
                      const float* gscores, Matrix& dtable, Matrix& dweight) {
   const index_t d = table.cols();
   const bool simd = simd_enabled();
+  const bool pf = table.bytes() >= kPrefetchMinBytes;
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (prefetch_ahead(pf, i, batch.size()))
+      prefetch_hrt_backward(batch, i, table, dtable, num_entities);
     const Triplet& t = batch[i];
     const float* h = table.row(t.head);
     const float* r = table.row(num_entities + t.relation);
@@ -784,19 +890,29 @@ void transh_forward(std::span<const Triplet> batch, const Matrix& entities,
                     float* scores) {
   const index_t d = entities.cols();
   const bool simd = simd_enabled();
-  Matrix scratch(1, d);  // Workspace-pooled row buffer for u
-  float* u = scratch.data();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = entities.row(t.head);
-    const float* tl = entities.row(t.tail);
-    const float* w = normals.row(t.relation);
-    const float* dr = transfers.row(t.relation);
-    const float wdot = diff_dot(w, h, tl, d, simd);
-    transh_u(h, tl, dr, w, wdot, u, d, simd);
-    scores[i] = norm == Norm::kL2 ? std::sqrt(simd::squared_norm(u, d, simd))
-                                  : l1_norm(u, d, simd);
-  }
+  const bool pf = entities.bytes() >= kPrefetchMinBytes;
+  for_each_chunk(batch.size(), 4 * d, [&](std::size_t i0, std::size_t i1) {
+    // Workspace-pooled row buffer for u, one per chunk.
+    Matrix scratch(1, d);
+    float* u = scratch.data();
+    for (std::size_t i = i0; i < i1; ++i) {
+      if (prefetch_ahead(pf, i, i1)) {
+        const Triplet& p = batch[i + kPrefetchAhead];
+        prefetch_rows(d, {entities.row(p.head), entities.row(p.tail),
+                          normals.row(p.relation), transfers.row(p.relation)});
+      }
+      const Triplet& t = batch[i];
+      const float* h = entities.row(t.head);
+      const float* tl = entities.row(t.tail);
+      const float* w = normals.row(t.relation);
+      const float* dr = transfers.row(t.relation);
+      const float wdot = diff_dot(w, h, tl, d, simd);
+      transh_u(h, tl, dr, w, wdot, u, d, simd);
+      scores[i] = norm == Norm::kL2
+                      ? std::sqrt(simd::squared_norm(u, d, simd))
+                      : l1_norm(u, d, simd);
+    }
+  });
   profiling::count_flops(9 * static_cast<std::int64_t>(batch.size()) * d);
 }
 
@@ -806,9 +922,18 @@ void transh_backward(std::span<const Triplet> batch, const Matrix& entities,
                      Matrix& dentities, Matrix& dnormals, Matrix& dtransfers) {
   const index_t d = entities.cols();
   const bool simd = simd_enabled();
+  const bool pf = entities.bytes() >= kPrefetchMinBytes;
   Matrix scratch(1, d);
   float* u = scratch.data();  // becomes du in place
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (prefetch_ahead(pf, i, batch.size())) {
+      const Triplet& p = batch[i + kPrefetchAhead];
+      prefetch_rows(d, {entities.row(p.head), entities.row(p.tail),
+                        normals.row(p.relation), transfers.row(p.relation)});
+      prefetch_rows<1>(d, {dentities.row(p.head), dentities.row(p.tail),
+                           dnormals.row(p.relation),
+                           dtransfers.row(p.relation)});
+    }
     const Triplet& t = batch[i];
     const float* h = entities.row(t.head);
     const float* tl = entities.row(t.tail);
@@ -845,21 +970,32 @@ void transd_forward(std::span<const Triplet> batch, const Matrix& entities,
                     const Matrix& relation_proj, Norm norm, float* scores) {
   const index_t d = entities.cols();
   const bool simd = simd_enabled();
-  Matrix scratch(1, d);
-  float* u = scratch.data();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Triplet& t = batch[i];
-    const float* h = entities.row(t.head);
-    const float* tl = entities.row(t.tail);
-    const float* hp = entity_proj.row(t.head);
-    const float* tp = entity_proj.row(t.tail);
-    const float* r = relations.row(t.relation);
-    const float* rp = relation_proj.row(t.relation);
-    const float s = simd::dot(hp, h, d, simd) - simd::dot(tp, tl, d, simd);
-    transd_u(h, tl, r, rp, s, u, d, simd);
-    scores[i] = norm == Norm::kL2 ? std::sqrt(simd::squared_norm(u, d, simd))
-                                  : l1_norm(u, d, simd);
-  }
+  const bool pf = entities.bytes() >= kPrefetchMinBytes;
+  for_each_chunk(batch.size(), 6 * d, [&](std::size_t i0, std::size_t i1) {
+    Matrix scratch(1, d);
+    float* u = scratch.data();
+    for (std::size_t i = i0; i < i1; ++i) {
+      if (prefetch_ahead(pf, i, i1)) {
+        const Triplet& p = batch[i + kPrefetchAhead];
+        prefetch_rows(d, {entities.row(p.head), entities.row(p.tail),
+                          entity_proj.row(p.head), entity_proj.row(p.tail),
+                          relations.row(p.relation),
+                          relation_proj.row(p.relation)});
+      }
+      const Triplet& t = batch[i];
+      const float* h = entities.row(t.head);
+      const float* tl = entities.row(t.tail);
+      const float* hp = entity_proj.row(t.head);
+      const float* tp = entity_proj.row(t.tail);
+      const float* r = relations.row(t.relation);
+      const float* rp = relation_proj.row(t.relation);
+      const float s = simd::dot(hp, h, d, simd) - simd::dot(tp, tl, d, simd);
+      transd_u(h, tl, r, rp, s, u, d, simd);
+      scores[i] = norm == Norm::kL2
+                      ? std::sqrt(simd::squared_norm(u, d, simd))
+                      : l1_norm(u, d, simd);
+    }
+  });
   profiling::count_flops(11 * static_cast<std::int64_t>(batch.size()) * d);
 }
 
@@ -871,9 +1007,21 @@ void transd_backward(std::span<const Triplet> batch, const Matrix& entities,
                      Matrix& drelations, Matrix& drelation_proj) {
   const index_t d = entities.cols();
   const bool simd = simd_enabled();
+  const bool pf = entities.bytes() >= kPrefetchMinBytes;
   Matrix scratch(1, d);
   float* u = scratch.data();  // becomes du in place
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (prefetch_ahead(pf, i, batch.size())) {
+      const Triplet& p = batch[i + kPrefetchAhead];
+      prefetch_rows(d, {entities.row(p.head), entities.row(p.tail),
+                        entity_proj.row(p.head), entity_proj.row(p.tail),
+                        relations.row(p.relation),
+                        relation_proj.row(p.relation)});
+      prefetch_rows<1>(d, {dentities.row(p.head), dentities.row(p.tail),
+                           dentity_proj.row(p.head), dentity_proj.row(p.tail),
+                           drelations.row(p.relation),
+                           drelation_proj.row(p.relation)});
+    }
     const Triplet& t = batch[i];
     const float* h = entities.row(t.head);
     const float* tl = entities.row(t.tail);

@@ -10,7 +10,8 @@
 // torus) score — and a matching single-pass backward that scatters
 // gradients directly into the parameter tables (no add_backward /
 // sub_backward / embedding_backward_scatter nodes, no intermediate Matrix
-// allocations; the only scratch is a Workspace-pooled row buffer).
+// allocations; the only scratch is one Workspace-pooled row buffer per
+// forward chunk or backward call).
 //
 // Everything is AVX2/FMA with a scalar fallback, dispatched at runtime per
 // batch via the same cpuid probe as the SpMM engine (cpu_features.hpp;
@@ -20,6 +21,20 @@
 // training graph: `off` keeps the legacy autograd graph (bit identical to
 // the historical path), on (the default) uses the fused forward+backward
 // pair.
+//
+// Threading: a *_forward kernel writes one score per triplet, so it splits
+// the batch into contiguous chunks of about kForwardChunkFloats gathered
+// floats and runs them on the shared TaskPool (runtime::parallel_for). A
+// batch of one chunk runs on the caller and never touches the pool. The
+// split changes no arithmetic: every score is bit-identical at any pool
+// width. Backward kernels stay serial — their scatter accumulates into
+// rows that many triplets share, and neither bit-identical split measured
+// on FB15K paid (lanes owning rows re-read most rows; computing the
+// coefficients first and applying them per owner was no faster and lost
+// the FMA the compiler forms in the serial kernel). Both directions
+// software-prefetch the rows a few triplets ahead once the tables outgrow
+// the fast caches, like the SpMM engine. TransR's relation-grouped kernels
+// (fused_transr.cpp) keep their own serial loops.
 //
 // Numerical contract: identical formulas and epsilons as the autograd ops
 // they replace (row_l2's 1e-12 denominator clamp, the sign(0) = 0
@@ -35,6 +50,7 @@
 // shared_ptr in the autograd node.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "src/common/runtime_config.hpp"
@@ -56,6 +72,11 @@ enum class Norm { kL1, kL2 };
 /// uses the forward kernels under either setting, and the semiring
 /// families are already single fused autograd ops, unaffected either way.
 bool fused_enabled();
+
+/// Gathered floats (rows read per triplet × d) per forward chunk: 1 MiB.
+/// A 512-triplet ANN re-rank block of any ANN family at d ≤ 128 is one
+/// chunk and runs inline.
+constexpr std::int64_t kForwardChunkFloats = std::int64_t{1} << 18;
 
 // ---- Stacked-table families ------------------------------------------------
 // table is the [entities; relations] stack ((N+R) × d, relations offset by

@@ -42,6 +42,7 @@ enum class Counter : int {
   kDdpTransportFrames,      // frames moved over the UDS/shm transport
   kDdpTransportBytes,       // payload bytes moved over the transport
   kDdpTransportRetries,     // frame sends retried after a (injected) drop
+  kFilterProbes,            // known-triplet filter lookups by rank / top-k
   kNumCounters,
 };
 
@@ -75,6 +76,7 @@ inline constexpr const char* kCounterNames[] = {
     "ddp_transport_frames",      // kDdpTransportFrames
     "ddp_transport_bytes",       // kDdpTransportBytes
     "ddp_transport_retries",     // kDdpTransportRetries
+    "filter_probes",             // kFilterProbes
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
                   static_cast<std::size_t>(Counter::kNumCounters),

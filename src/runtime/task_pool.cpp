@@ -156,6 +156,10 @@ struct TaskPool::Impl {
   std::atomic<std::int64_t> submitted[kNumClasses] = {};
   std::atomic<std::int64_t> executed[kNumClasses] = {};
 
+  // The Impl this one replaced (resize, fork), retained rather than freed
+  // (see resize()); linked here so leak checkers see it as reachable.
+  Impl* retired = nullptr;
+
   // Declared after everything the workers use.
   std::vector<std::thread> workers;  // configured_threads - 1 of them
   std::atomic<bool> workers_spawned{false};
@@ -330,6 +334,7 @@ TaskPool::Impl& TaskPool::impl() const {
   const int width = static_cast<int>(
       config::current()->int_or("SPTX_RUNTIME_THREADS", hardware_threads()));
   Impl* fresh = new Impl(width);
+  fresh->retired = impl;
   Impl* expected = impl;
   if (!impl_.compare_exchange_strong(expected, fresh,
                                      std::memory_order_acq_rel)) {
@@ -349,6 +354,7 @@ void TaskPool::resize(int threads) {
     return;
   old.shutdown();
   Impl* fresh = new Impl(threads);
+  fresh->retired = &old;
   // Counters carry over so stats()/bench windows survive a resize.
   for (int c = 0; c < kNumClasses; ++c) {
     fresh->submitted[c] = old.submitted[c].load(std::memory_order_relaxed);

@@ -72,7 +72,7 @@ InferenceSession::InferenceSession(
 }
 
 std::shared_ptr<const ServingSnapshot> InferenceSession::cell_load() const {
-#if defined(__cpp_lib_atomic_shared_ptr)
+#if SPTX_ATOMIC_SNAPSHOT_CELL
   return snapshot_.load(std::memory_order_acquire);
 #else
   MutexLock lock(snapshot_mu_);
@@ -82,7 +82,7 @@ std::shared_ptr<const ServingSnapshot> InferenceSession::cell_load() const {
 
 void InferenceSession::cell_store(
     std::shared_ptr<const ServingSnapshot> snapshot) const {
-#if defined(__cpp_lib_atomic_shared_ptr)
+#if SPTX_ATOMIC_SNAPSHOT_CELL
   snapshot_.store(std::move(snapshot), std::memory_order_release);
 #else
   MutexLock lock(snapshot_mu_);
@@ -199,27 +199,67 @@ std::vector<float> InferenceSession::candidate_scores(
 
 namespace {
 
-/// Top-k selection with a deterministic order: score direction per the
-/// model, entity id as the tie-break. Input order never matters, which is
-/// what makes the ANN path (candidates in probe order) and the brute path
-/// (candidates in id order) agree exactly on identical candidate sets.
-std::vector<Prediction> select_top_k(std::vector<Prediction>& candidates,
-                                     int k, bool higher_is_better) {
-  const auto better = [higher_is_better](const Prediction& a,
-                                         const Prediction& b) {
-    if (a.score != b.score)
-      return higher_is_better ? a.score > b.score : a.score < b.score;
-    return a.entity < b.entity;
+/// Filtered top-k selection in one pass over the candidates. A k-heap keeps
+/// the best survivors so far, worst on top, ordered by score in the model's
+/// direction with the entity id as tie-break. A candidate that cannot enter
+/// the heap is dropped unprobed; only one that would enter it is looked up
+/// in the filter. The order is strict and total over distinct ids, so input
+/// order never matters: the ANN path (candidates in probe order) and the
+/// brute path (id order) agree exactly on identical candidate sets, and
+/// both equal filtering every candidate first and sorting.
+class FilteredTopK {
+ public:
+  FilteredTopK(int k, bool higher_is_better, const kg::KnownTriplets& known,
+               const eval::CandidateQuery& query)
+      : k_(static_cast<std::size_t>(std::max(k, 0))),
+        better_{higher_is_better},
+        known_(known),
+        query_(query) {}
+
+  /// Empty the heap (a widened ANN probe re-offers every candidate);
+  /// probes() keeps counting.
+  void clear() { heap_.clear(); }
+
+  void offer(std::int64_t entity, float score) {
+    const Prediction p{entity, score};
+    if (full() && (k_ == 0 || !better_(p, heap_.front()))) return;
+    ++probes_;
+    if (known_.contains(query_.candidate(entity))) return;
+    if (full()) {
+      std::pop_heap(heap_.begin(), heap_.end(), better_);
+      heap_.back() = p;
+    } else {
+      heap_.push_back(p);
+    }
+    std::push_heap(heap_.begin(), heap_.end(), better_);
+  }
+
+  bool full() const { return heap_.size() == k_; }
+  std::int64_t probes() const { return probes_; }
+
+  /// The survivors, best first.
+  std::vector<Prediction> take() {
+    std::sort_heap(heap_.begin(), heap_.end(), better_);
+    return std::move(heap_);
+  }
+
+ private:
+  struct Better {
+    bool higher_is_better;
+    bool operator()(const Prediction& a, const Prediction& b) const {
+      if (a.score != b.score)
+        return higher_is_better ? a.score > b.score : a.score < b.score;
+      return a.entity < b.entity;
+    }
   };
-  const auto count =
-      std::min<std::size_t>(static_cast<std::size_t>(std::max(k, 0)),
-                            candidates.size());
-  std::partial_sort(candidates.begin(),
-                    candidates.begin() + static_cast<std::ptrdiff_t>(count),
-                    candidates.end(), better);
-  candidates.resize(count);
-  return std::move(candidates);
-}
+
+  std::size_t k_;
+  Better better_;
+  const kg::KnownTriplets& known_;
+  eval::CandidateQuery query_;
+  std::vector<Prediction> heap_;
+  std::int64_t probes_ = 0;
+};
 
 }  // namespace
 
@@ -238,7 +278,7 @@ std::vector<Prediction> InferenceSession::top_impl(bool corrupt_tail,
   queries_.fetch_add(1, std::memory_order_relaxed);
   const eval::CandidateQuery query{corrupt_tail, anchor, relation};
 
-  std::vector<Prediction> candidates;
+  FilteredTopK top(k, model.higher_is_better(), known_, query);
   const auto support =
       (options_.ann != AnnMode::kOff && snap->ann) ? model.ann_support()
                                                    : std::nullopt;
@@ -255,13 +295,12 @@ std::vector<Prediction> InferenceSession::top_impl(bool corrupt_tail,
     const int nprobe = options_.ann_nprobe > 0
                            ? options_.ann_nprobe
                            : AnnIndex::auto_nprobe(ann.k_lists());
-    const auto want = static_cast<std::size_t>(std::max(k, 0));
     std::vector<index_t> ids;
     // The filter can reject most of the nearest lists' members: re-probe
-    // twice as wide until k candidates survive it or every list is scanned.
+    // twice as wide until the heap fills or every list is scanned.
     for (int lists = nprobe;;) {
       const int probed = ann.probe(q.data(), probe, lists,
-                                   static_cast<index_t>(want), ids);
+                                   static_cast<index_t>(std::max(k, 0)), ids);
       const std::vector<float> scores =
           eval::score_candidates(model, query, ids);
       triplets_scored_.fetch_add(static_cast<std::int64_t>(ids.size()),
@@ -270,13 +309,9 @@ std::vector<Prediction> InferenceSession::top_impl(bool corrupt_tail,
                                 std::memory_order_relaxed);
       profiling::count_event(profiling::Counter::kAnnCandidates,
                              static_cast<std::int64_t>(ids.size()));
-      candidates.clear();
-      candidates.reserve(ids.size());
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (known_.contains(query.candidate(ids[i]))) continue;
-        candidates.push_back({ids[i], scores[i]});
-      }
-      if (candidates.size() >= want || probed >= ann.k_lists()) break;
+      top.clear();
+      for (std::size_t i = 0; i < ids.size(); ++i) top.offer(ids[i], scores[i]);
+      if (top.full() || probed >= ann.k_lists()) break;
       lists = 2 * probed;
     }
     topk_ann_.fetch_add(1, std::memory_order_relaxed);
@@ -285,13 +320,11 @@ std::vector<Prediction> InferenceSession::top_impl(bool corrupt_tail,
     const std::vector<float> scores = candidate_scores(model, query);
     topk_brute_.fetch_add(1, std::memory_order_relaxed);
     profiling::count_event(profiling::Counter::kAnnBruteTopkQueries);
-    candidates.reserve(scores.size());
-    for (index_t e = 0; e < static_cast<index_t>(scores.size()); ++e) {
-      if (known_.contains(query.candidate(e))) continue;
-      candidates.push_back({e, scores[static_cast<std::size_t>(e)]});
-    }
+    for (std::size_t e = 0; e < scores.size(); ++e)
+      top.offer(static_cast<std::int64_t>(e), scores[e]);
   }
-  return select_top_k(candidates, k, model.higher_is_better());
+  profiling::count_event(profiling::Counter::kFilterProbes, top.probes());
+  return top.take();
 }
 
 std::vector<Prediction> InferenceSession::top_tails(std::int64_t head,
@@ -307,25 +340,33 @@ std::vector<Prediction> InferenceSession::top_heads(std::int64_t relation,
 }
 
 double InferenceSession::rank(const Triplet& truth, bool corrupt_tail) const {
-  const auto snap = cell_load();
-  // Both sides index into the candidate scores.
-  check_triplet(truth, snap->model->num_entities(),
-                snap->model->num_relations());
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const eval::CandidateQuery query{corrupt_tail,
-                                   corrupt_tail ? truth.head : truth.tail,
-                                   truth.relation};
-  return eval::filtered_rank(candidate_scores(*snap->model, query), query,
-                             corrupt_tail ? truth.tail : truth.head,
-                             snap->model->higher_is_better(), known_);
+  return rank_on(*cell_load()->model, truth, corrupt_tail);
 }
 
 std::vector<double> InferenceSession::rank_batch(
     std::span<const Triplet> truths, bool corrupt_tail) const {
+  // One snapshot for the whole batch: a publish mid-batch must not answer
+  // its first truths from one version and the rest from the next.
+  const auto snap = cell_load();
   std::vector<double> out;
   out.reserve(truths.size());
-  for (const Triplet& t : truths) out.push_back(rank(t, corrupt_tail));
+  for (const Triplet& t : truths)
+    out.push_back(rank_on(*snap->model, t, corrupt_tail));
   return out;
+}
+
+double InferenceSession::rank_on(const models::KgeModel& model,
+                                 const Triplet& truth,
+                                 bool corrupt_tail) const {
+  // Both sides index into the candidate scores.
+  check_triplet(truth, model.num_entities(), model.num_relations());
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  const eval::CandidateQuery query{corrupt_tail,
+                                   corrupt_tail ? truth.head : truth.tail,
+                                   truth.relation};
+  return eval::filtered_rank(candidate_scores(model, query), query,
+                             corrupt_tail ? truth.tail : truth.head,
+                             model.higher_is_better(), known_);
 }
 
 SessionStats InferenceSession::stats() const {

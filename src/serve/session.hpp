@@ -52,6 +52,14 @@
 #include "src/serve/ann_index.hpp"
 #include "src/serve/micro_batcher.hpp"
 
+// Whether the snapshot cell is a std::atomic<std::shared_ptr> (see
+// snapshot_ below for why ThreadSanitizer builds use the mutex instead).
+#if defined(__cpp_lib_atomic_shared_ptr) && !defined(__SANITIZE_THREAD__)
+#define SPTX_ATOMIC_SNAPSHOT_CELL 1
+#else
+#define SPTX_ATOMIC_SNAPSHOT_CELL 0
+#endif
+
 namespace sptx::serve {
 
 struct SessionOptions {
@@ -183,10 +191,13 @@ class InferenceSession {
                         std::int64_t deadline_us = 0) const;
 
   /// The k most plausible completions of (head, relation, ?) — entities
-  /// ranked by the model's score, known positives excluded when the
-  /// session was opened with a filter. Served through the ANN index when
-  /// engaged (exact scores, approximate candidate set), brute-force
-  /// otherwise.
+  /// ranked by the model's score (entity id breaks ties), known positives
+  /// excluded when the session was opened with a filter. Served through the
+  /// ANN index when engaged (exact scores, approximate candidate set),
+  /// brute-force otherwise. One pass keeps a k-heap of survivors; only a
+  /// candidate that would enter it is looked up in the filter
+  /// (Counter::kFilterProbes), so a query costs the scan plus about
+  /// k·ln(N/k) lookups instead of N.
   std::vector<Prediction> top_tails(std::int64_t head, std::int64_t relation,
                                     int k) const;
   /// The k most plausible completions of (?, relation, tail).
@@ -198,6 +209,7 @@ class InferenceSession {
   /// #ties/2, filtered competitors excluded). Always brute-force — ranks
   /// are exact by definition.
   double rank(const Triplet& truth, bool corrupt_tail = true) const;
+  /// rank() of every truth, all against the snapshot current at entry.
   std::vector<double> rank_batch(std::span<const Triplet> truths,
                                  bool corrupt_tail = true) const;
 
@@ -206,6 +218,10 @@ class InferenceSession {
  private:
   std::vector<Prediction> top_impl(bool corrupt_tail, std::int64_t anchor,
                                    std::int64_t relation, int k) const;
+
+  /// rank() against one resolved snapshot's model.
+  double rank_on(const models::KgeModel& model, const Triplet& truth,
+                 bool corrupt_tail) const;
 
   /// Scores of all N candidates of `query` (eval::score_candidates,
   /// counted in the stats). Candidate batches are already SpMM-sized, so
@@ -228,7 +244,10 @@ class InferenceSession {
   // The RCU cell. libstdc++ ≥ 12 provides the lock-free-ish atomic
   // specialization; the mutex fallback keeps older toolchains correct (and
   // carries the guarded-by contract so the fallback is analyzable too).
-#if defined(__cpp_lib_atomic_shared_ptr)
+  // ThreadSanitizer builds take the fallback as well: the specialization
+  // locks with a spin bit inside the pointer word, which TSan cannot see,
+  // so it reports every store racing a load.
+#if SPTX_ATOMIC_SNAPSHOT_CELL
   mutable std::atomic<std::shared_ptr<const ServingSnapshot>> snapshot_;
 #else
   mutable Mutex snapshot_mu_;

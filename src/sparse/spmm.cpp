@@ -109,11 +109,9 @@ void rows_panel_scalar(const Csr& a, const Matrix& x, Matrix& c, index_t i0,
 // the explicit add/sub path for unit-valued matrices.
 //
 // When the dense operand outgrows the fast cache levels every nonzero is a
-// memory-latency event, so the kernel software-prefetches the X rows a few
-// output rows ahead (`prefetch`, gated by the caller on x's footprint —
-// prefetching L1-resident tables just burns issue slots).
-constexpr index_t kPrefetchRowAhead = 4;
-constexpr std::size_t kPrefetchMinBytes = 4u << 20;  // ~fast-cache footprint
+// memory-latency event, so the kernel software-prefetches the X rows
+// simd::kPrefetchAhead output rows ahead (`prefetch`, gated by the caller on
+// x's footprint against simd::kPrefetchMinBytes).
 
 // Outputs bigger than the fast cache stream straight back to memory anyway;
 // non-temporal stores skip the read-for-ownership of every C line, cutting
@@ -145,7 +143,7 @@ __attribute__((target("avx2,fma"))) void rows_panel_avx2(
   const float* vals = a.values.data();
   for (index_t i = i0; i < i1; ++i) {
     if (prefetch) {
-      const index_t ipf = i + kPrefetchRowAhead;
+      const index_t ipf = i + simd::kPrefetchAhead;
       if (ipf < i1) {
         for (index_t k = a.row_ptr[static_cast<std::size_t>(ipf)];
              k < a.row_ptr[static_cast<std::size_t>(ipf) + 1]; ++k) {
@@ -320,7 +318,7 @@ void rows_simd(const Csr& a, const Matrix& x, Matrix& c, index_t i0,
 #ifdef SPTX_SPMM_X86
   if (simd_enabled()) {
     rows_panel_avx2(a, x, c, i0, i1, j0, j1, a.unit_values(), accumulate,
-                    /*prefetch=*/x.bytes() >= kPrefetchMinBytes,
+                    /*prefetch=*/x.bytes() >= simd::kPrefetchMinBytes,
                     /*stream=*/c.bytes() >= kStreamMinBytes);
     return;
   }

@@ -8,6 +8,7 @@
 #include "src/eval/link_prediction.hpp"
 #include "src/kg/known_triplets.hpp"
 #include "src/kg/synthetic.hpp"
+#include "src/profiling/counters.hpp"
 
 namespace sptx {
 namespace {
@@ -217,6 +218,65 @@ TEST(Eval, FilteredRankSkipsTruthAndKnownAndAveragesTies) {
   // Higher is better: only 5 beats the truth.
   EXPECT_DOUBLE_EQ(eval::filtered_rank(scores, query, 3, true, known),
                    1.0 + 1.0 + 0.5);
+}
+
+TEST(Eval, FilteredRankProbesOnlyCandidatesThatBeatOrTieTheTruth) {
+  // Scores drawn from 12 levels force ties; the filter holds about 3/4 of
+  // the candidates that beat or tie the truth, plus some worse ones. The
+  // rank must equal a scan that probes every candidate, and only the
+  // candidates that beat or tie the truth may reach the filter.
+  constexpr index_t kN = 300;
+  Rng rng(7);
+  std::vector<float> scores(static_cast<std::size_t>(kN));
+  for (float& s : scores) s = static_cast<float>(rng.next_below(12));
+  for (const bool corrupt_tail : {true, false}) {
+    for (const bool higher : {false, true}) {
+      for (const index_t truth : {0, 17, 150, 299}) {
+        const eval::CandidateQuery query{corrupt_tail, 5, 1};
+        const float ts = scores[static_cast<std::size_t>(truth)];
+        std::vector<char> is_known(static_cast<std::size_t>(kN), 0);
+        std::vector<Triplet> positives;
+        std::int64_t contenders = 0;
+        for (index_t e = 0; e < kN; ++e) {
+          if (e == truth) continue;
+          const float s = scores[static_cast<std::size_t>(e)];
+          const bool contends = (higher ? s > ts : s < ts) || s == ts;
+          contenders += contends ? 1 : 0;
+          if (rng.next_below(4) < (contends ? 3u : 1u)) {
+            is_known[static_cast<std::size_t>(e)] = 1;
+            positives.push_back(query.candidate(e));
+          }
+        }
+        kg::KnownTriplets known(kN, 2);
+        known.add(positives);
+
+        double expected = 1.0;
+        for (index_t e = 0; e < kN; ++e) {
+          if (e == truth || is_known[static_cast<std::size_t>(e)]) continue;
+          const float s = scores[static_cast<std::size_t>(e)];
+          if (higher ? s > ts : s < ts) {
+            expected += 1.0;
+          } else if (s == ts) {
+            expected += 0.5;
+          }
+        }
+        profiling::CounterWindow probes(profiling::Counter::kFilterProbes);
+        EXPECT_DOUBLE_EQ(
+            eval::filtered_rank(scores, query, truth, higher, known), expected)
+            << "tail " << corrupt_tail << " higher " << higher << " truth "
+            << truth;
+        EXPECT_EQ(probes.elapsed(), contenders);
+      }
+    }
+  }
+
+  // Every candidate that beats the truth is known: only ties count.
+  const std::vector<float> few = {0.0f, 0.5f, 1.0f, 1.0f, 2.0f};
+  const eval::CandidateQuery query{true, 0, 0};
+  kg::KnownTriplets known(5, 1);
+  const std::vector<Triplet> beaters = {{0, 0, 0}, {0, 0, 1}};
+  known.add(beaters);
+  EXPECT_DOUBLE_EQ(eval::filtered_rank(few, query, 2, false, known), 1.5);
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 //    forward kernel alone) and within FP tolerance of distance();
 //  * the kFusedBatches counter proves which path actually ran;
 //  * steady-state training through the fused path performs zero tracked
-//    heap allocations (the Workspace-pool property of the legacy path).
+//    heap allocations (the Workspace-pool property of the legacy path);
+//  * forward kernels split big batches into chunks on the TaskPool: scores
+//    and the (serial) backward's gradients are bit-identical at pool widths
+//    1, 2 and 4, and a one-chunk batch never opens a parallel region.
 //
 // CMake registers this suite twice — once as-is and once with
 // SPTX_NO_SIMD=1 — so both sides of the AVX2/scalar dispatch are covered on
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "src/autograd/ops.hpp"
@@ -25,6 +29,7 @@
 #include "src/kg/synthetic.hpp"
 #include "src/models/model.hpp"
 #include "src/profiling/counters.hpp"
+#include "src/runtime/task_pool.hpp"
 #include "src/tensor/memory_tracker.hpp"
 #include "src/train/trainer.hpp"
 
@@ -314,6 +319,146 @@ TEST(FusedKernels, SteadyStateTrainingPerformsZeroAllocations) {
     EXPECT_EQ(allocs_per_epoch[1], allocs_per_epoch[0]) << name;
     EXPECT_EQ(allocs_per_epoch[2], allocs_per_epoch[1]) << name;
     EXPECT_EQ(allocs_per_epoch[3], allocs_per_epoch[2]) << name;
+  }
+}
+
+// ---- forward chunks on the pool ---------------------------------------------
+
+/// The families whose kernels live in fused.cpp (TransR has its own).
+constexpr const char* kChunkedFamilies[] = {"TransE", "TransC", "TorusE",
+                                            "TransA", "TransM", "TransH",
+                                            "TransD"};
+
+/// Resizes the shared pool for one scope, restoring the old width after.
+class ScopedPoolWidth {
+ public:
+  explicit ScopedPoolWidth(int width)
+      : before_(runtime::TaskPool::instance().threads()) {
+    runtime::TaskPool::instance().resize(width);
+  }
+  ~ScopedPoolWidth() { runtime::TaskPool::instance().resize(before_); }
+  ScopedPoolWidth(const ScopedPoolWidth&) = delete;
+  ScopedPoolWidth& operator=(const ScopedPoolWidth&) = delete;
+
+ private:
+  int before_;
+};
+
+std::vector<Triplet> random_triplets(index_t n, index_t r, std::size_t count,
+                                     std::uint64_t seed) {
+  Rng rng(seed);
+  const auto draw = [&rng](index_t below) {
+    return static_cast<index_t>(
+        rng.next_below(static_cast<std::uint64_t>(below)));
+  };
+  std::vector<Triplet> out(count);
+  for (Triplet& t : out) {
+    t.head = draw(n);
+    t.relation = draw(r);
+    t.tail = draw(n);
+  }
+  return out;
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Big enough that every entity table passes the prefetch threshold and that
+// every family's batch spans at least 8 chunks (TransE/TransC/TorusE/TransM
+// read the fewest rows per triplet, 3, so they have the largest chunks).
+constexpr index_t kPoolN = 20000, kPoolR = 8, kPoolDim = 64;
+constexpr std::size_t kPoolBatch = static_cast<std::size_t>(
+    8 * kernels::kForwardChunkFloats / (3 * kPoolDim) + 7);
+
+models::ModelConfig pool_config(models::Dissimilarity diss) {
+  models::ModelConfig cfg = small_config(diss);
+  cfg.dim = kPoolDim;
+  return cfg;
+}
+
+TEST(FusedKernels, ChunkedForwardIsBitIdenticalAtEveryPoolWidth) {
+  const auto batch = random_triplets(kPoolN, kPoolR, kPoolBatch, 29);
+  for (const char* name : kChunkedFamilies) {
+    for (const auto diss :
+         {models::Dissimilarity::kL2, models::Dissimilarity::kL1}) {
+      auto model = fresh(name, kPoolN, kPoolR, pool_config(diss), 4);
+      // Reference: the batch scored in one-chunk blocks (score() is
+      // element-pure per triplet, so block boundaries change no bit).
+      std::vector<float> reference;
+      for (std::size_t i = 0; i < batch.size(); i += 512) {
+        const auto block = model->score(std::span<const Triplet>(batch).subspan(
+            i, std::min<std::size_t>(512, batch.size() - i)));
+        reference.insert(reference.end(), block.begin(), block.end());
+      }
+      for (const int width : {1, 2, 4}) {
+        ScopedPoolWidth pool(width);
+        profiling::CounterWindow chunks(
+            profiling::Counter::kRuntimeChunksExecuted);
+        EXPECT_TRUE(same_bits(model->score(batch), reference))
+            << name << " width " << width;
+        if (width > 1) {
+          EXPECT_GE(chunks.elapsed(), 8) << name << " width " << width;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedKernels, BackwardGradientsMatchTheSingleLaneRun) {
+  const auto pos = random_triplets(kPoolN, kPoolR, kPoolBatch, 31);
+  const auto neg = random_triplets(kPoolN, kPoolR, kPoolBatch, 37);
+  config::ScopedOverride fused("SPTX_FUSED", "on");
+  for (const char* name : kChunkedFamilies) {
+    for (const auto diss :
+         {models::Dissimilarity::kL2, models::Dissimilarity::kL1}) {
+      float reference_loss = 0.0f;
+      std::vector<Matrix> reference;
+      for (const int width : {1, 2, 4}) {
+        ScopedPoolWidth pool(width);
+        auto model = fresh(name, kPoolN, kPoolR, pool_config(diss), 4);
+        autograd::Variable loss = model->loss(pos, neg);
+        loss.backward();
+        auto params = model->params();
+        if (width == 1) {
+          reference_loss = loss.value().at(0, 0);
+          for (auto& p : params) reference.push_back(p.grad());
+          continue;
+        }
+        const float l = loss.value().at(0, 0);
+        EXPECT_TRUE(same_bits({&l, 1}, {&reference_loss, 1}))
+            << name << " width " << width;
+        ASSERT_EQ(params.size(), reference.size()) << name;
+        for (std::size_t k = 0; k < params.size(); ++k) {
+          const Matrix& g = params[k].grad();
+          const Matrix& want = reference[k];
+          EXPECT_TRUE(
+              same_bits({g.data(), static_cast<std::size_t>(g.size())},
+                        {want.data(), static_cast<std::size_t>(want.size())}))
+              << name << " param " << k << " width " << width;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedKernels, OneChunkBatchRunsInlineOnTheCaller) {
+  // 48 triplets at d = 12 are far below a chunk: even on a 4-lane pool the
+  // forward must not open a region (a queue lock and a wake-up for nothing).
+  constexpr index_t kN = 40, kR = 5;
+  const Batches b = make_batches(kN, kR, 41, 48);
+  ScopedPoolWidth pool(4);
+  for (const char* name : kChunkedFamilies) {
+    auto model = fresh(name, kN, kR, small_config(models::Dissimilarity::kL2),
+                       5);
+    profiling::CounterWindow inline_loops(
+        profiling::Counter::kRuntimeInlineLoops);
+    profiling::CounterWindow regions(
+        profiling::Counter::kRuntimeParallelRegions);
+    model->score(b.pos);
+    EXPECT_GE(inline_loops.elapsed(), 1) << name;
+    EXPECT_EQ(regions.elapsed(), 0) << name;
   }
 }
 

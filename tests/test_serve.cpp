@@ -18,6 +18,8 @@
 #include "src/api/engine.hpp"
 #include "src/common/fault.hpp"
 #include "src/kg/synthetic.hpp"
+#include "src/models/snapshot.hpp"
+#include "src/profiling/counters.hpp"
 #include "src/serve/micro_batcher.hpp"
 
 namespace sptx {
@@ -31,11 +33,15 @@ kg::Dataset tiny_dataset(std::uint64_t seed = 11) {
 /// A session over a lightly trained TransE snapshot, plus the frozen model
 /// itself for brute-force comparison.
 struct Fixture {
-  kg::Dataset ds = tiny_dataset();
+  kg::Dataset ds;
   Engine engine;
   std::shared_ptr<const models::KgeModel> frozen;
 
-  explicit Fixture(const char* family = "TransE") {
+  explicit Fixture(const char* family = "TransE")
+      : Fixture(tiny_dataset(), family) {}
+
+  Fixture(kg::Dataset dataset, const char* family = "TransE")
+      : ds(std::move(dataset)) {
     ModelSpec spec;
     spec.family = family;
     spec.config.dim = 16;
@@ -280,11 +286,129 @@ struct OracleTripletHash {
     return (h(t.head) * 1000003u ^ h(t.relation)) * 1000003u ^ h(t.tail);
   }
 };
+using Positives = std::unordered_set<Triplet, OracleTripletHash>;
+
+/// The oracle's filtered top-k: score every candidate in `ids`, drop the
+/// known positives, sort the rest by (score, entity id), keep k.
+std::vector<serve::Prediction> oracle_top_k(const models::KgeModel& model,
+                                            const eval::CandidateQuery& query,
+                                            std::span<const index_t> ids,
+                                            const Positives& positives,
+                                            int k) {
+  std::vector<Triplet> candidates;
+  for (const index_t e : ids) candidates.push_back(query.candidate(e));
+  const auto scores = model.score(candidates);
+  std::vector<serve::Prediction> out;
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    if (positives.count(candidates[i]) == 0)
+      out.push_back({ids[i], scores[i]});
+  const bool higher = model.higher_is_better();
+  std::sort(out.begin(), out.end(),
+            [higher](const serve::Prediction& a, const serve::Prediction& b) {
+              if (a.score != b.score)
+                return higher ? a.score > b.score : a.score < b.score;
+              return a.entity < b.entity;
+            });
+  out.resize(std::min<std::size_t>(out.size(),
+                                   static_cast<std::size_t>(std::max(k, 0))));
+  return out;
+}
+
+/// The candidate ids an ANN top-k scans last: probe `nprobe` lists, then
+/// twice as wide until k candidates survive the filter or every list is
+/// scanned.
+std::vector<index_t> oracle_ann_ids(const serve::ServingSnapshot& snap,
+                                    const eval::CandidateQuery& query,
+                                    int nprobe, int k,
+                                    const Positives& positives) {
+  const models::KgeModel& model = *snap.model;
+  const serve::AnnIndex& ann = *snap.ann;
+  const auto support = model.ann_support();
+  std::vector<float> q(static_cast<std::size_t>(support->table->cols()));
+  model.ann_query(query.corrupt_tail, query.anchor, query.relation, q.data());
+  const serve::AnnIndex::Probe probe{
+      support->norm, support->inner_product,
+      support->probe_weights != nullptr
+          ? support->probe_weights->row(query.relation)
+          : nullptr};
+  const auto want = static_cast<std::size_t>(std::max(k, 0));
+  std::vector<index_t> ids;
+  for (int lists = nprobe;;) {
+    const int probed =
+        ann.probe(q.data(), probe, lists, static_cast<index_t>(want), ids);
+    std::size_t survivors = 0;
+    for (const index_t e : ids)
+      survivors += positives.count(query.candidate(e)) == 0 ? 1 : 0;
+    if (survivors >= want || probed >= ann.k_lists()) return ids;
+    lists = 2 * probed;
+  }
+}
+
+/// The oracle's filtered rank of `truth` on one side: 1 + #better +
+/// #ties/2 over every candidate that is neither the truth nor known.
+double oracle_rank(const models::KgeModel& model, const Triplet& truth,
+                   bool tail_side, const Positives& positives) {
+  const eval::CandidateQuery query{tail_side,
+                                   tail_side ? truth.head : truth.tail,
+                                   truth.relation};
+  const index_t n = model.num_entities();
+  std::vector<Triplet> candidates;
+  for (index_t e = 0; e < n; ++e) candidates.push_back(query.candidate(e));
+  const auto scores = model.score(candidates);
+  const float truth_score = scores[static_cast<std::size_t>(
+      tail_side ? truth.tail : truth.head)];
+  const bool higher = model.higher_is_better();
+  double rank = 1.0;
+  for (index_t e = 0; e < n; ++e) {
+    const auto& c = candidates[static_cast<std::size_t>(e)];
+    if (c == truth || positives.count(c) > 0) continue;
+    const float sc = scores[static_cast<std::size_t>(e)];
+    if (higher ? sc > truth_score : sc < truth_score) {
+      rank += 1.0;
+    } else if (sc == truth_score) {
+      rank += 0.5;
+    }
+  }
+  return rank;
+}
+
+/// Every k of `ks`: the session's top-k of `query` equals the oracle's
+/// over `ids(k)` entity for entity and bit for bit.
+template <typename Ids>
+void expect_top_k_matches(const serve::InferenceSession& session,
+                          const models::KgeModel& model,
+                          const eval::CandidateQuery& query,
+                          const Positives& positives,
+                          std::initializer_list<int> ks, const Ids& ids,
+                          const std::string& label) {
+  for (const int k : ks) {
+    const std::vector<index_t> candidates = ids(k);
+    const auto expect = oracle_top_k(model, query, candidates, positives, k);
+    const auto got =
+        query.corrupt_tail
+            ? session.top_tails(query.anchor, query.relation, k)
+            : session.top_heads(query.relation, query.anchor, k);
+    ASSERT_EQ(got.size(), expect.size()) << label << " k " << k;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].entity, expect[i].entity) << label << " k " << k
+                                                  << " #" << i;
+      EXPECT_EQ(got[i].score, expect[i].score) << label << " k " << k
+                                               << " #" << i;
+    }
+  }
+}
+
+std::vector<index_t> all_entities(index_t n) {
+  std::vector<index_t> ids(static_cast<std::size_t>(n));
+  for (index_t e = 0; e < n; ++e) ids[static_cast<std::size_t>(e)] = e;
+  return ids;
+}
 
 // Differential: on every test triplet and both sides, the session's rank
 // equals the evaluator's rank and an independent count, and brute-force
 // top-k equals an independent scan that scores every candidate, drops the
-// known positives and sorts by (score, entity id).
+// known positives and sorts by (score, entity id) — for k = 0, 1, 10, N
+// and past N.
 TEST(Serve, RanksAndTopKMatchTheEvaluatorOnEveryTestTriplet) {
   for (const char* family : {"TransE", "TransR", "DistMult"}) {
     Fixture fx(family);
@@ -292,15 +416,15 @@ TEST(Serve, RanksAndTopKMatchTheEvaluatorOnEveryTestTriplet) {
     for (const TripletStore* split : {&fx.ds.train, &fx.ds.valid, &fx.ds.test})
       all.insert(all.end(), split->triplets().begin(), split->triplets().end());
     const TripletStore known(fx.ds.num_entities(), fx.ds.num_relations(), all);
-    const std::unordered_set<Triplet, OracleTripletHash> positives(
-        all.begin(), all.end());
+    const Positives positives(all.begin(), all.end());
     serve::SessionOptions so;
     so.filter = &known;
     so.ann = serve::AnnMode::kOff;
     auto session = fx.session(so);
     const models::KgeModel& model = *fx.frozen;
-    const bool higher = model.higher_is_better();
     const index_t n = model.num_entities();
+    const auto ids = all_entities(n);
+    const auto n_k = static_cast<int>(n);
 
     std::int64_t sides = 0;
     eval::for_each_rank(
@@ -309,49 +433,152 @@ TEST(Serve, RanksAndTopKMatchTheEvaluatorOnEveryTestTriplet) {
           ++sides;
           EXPECT_EQ(session->rank(truth, tail_side), rank)
               << family << " side " << tail_side;
-          std::vector<Triplet> candidates(static_cast<std::size_t>(n));
-          for (index_t e = 0; e < n; ++e)
-            candidates[static_cast<std::size_t>(e)] =
-                tail_side ? Triplet{truth.head, truth.relation, e}
-                          : Triplet{e, truth.relation, truth.tail};
-          const auto scores = model.score(candidates);
-          const float truth_score = scores[static_cast<std::size_t>(
-              tail_side ? truth.tail : truth.head)];
-          double expected = 1.0;
-          for (index_t e = 0; e < n; ++e) {
-            const auto& c = candidates[static_cast<std::size_t>(e)];
-            if (c == truth || positives.count(c) > 0) continue;
-            const float sc = scores[static_cast<std::size_t>(e)];
-            if (higher ? sc > truth_score : sc < truth_score) {
-              expected += 1.0;
-            } else if (sc == truth_score) {
-              expected += 0.5;
-            }
-          }
-          EXPECT_EQ(rank, expected) << family << " side " << tail_side;
-
-          if (!tail_side) return;
-          std::vector<serve::Prediction> brute;
-          for (index_t e = 0; e < n; ++e)
-            if (positives.count(candidates[static_cast<std::size_t>(e)]) == 0)
-              brute.push_back({e, scores[static_cast<std::size_t>(e)]});
-          std::sort(brute.begin(), brute.end(),
-                    [higher](const serve::Prediction& a,
-                             const serve::Prediction& b) {
-                      if (a.score != b.score)
-                        return higher ? a.score > b.score : a.score < b.score;
-                      return a.entity < b.entity;
-                    });
-          brute.resize(std::min<std::size_t>(brute.size(), 10));
-          const auto top = session->top_tails(truth.head, truth.relation, 10);
-          ASSERT_EQ(top.size(), brute.size()) << family;
-          for (std::size_t i = 0; i < top.size(); ++i) {
-            EXPECT_EQ(top[i].entity, brute[i].entity) << family << " #" << i;
-            EXPECT_EQ(top[i].score, brute[i].score) << family << " #" << i;
-          }
+          EXPECT_EQ(rank, oracle_rank(model, truth, tail_side, positives))
+              << family << " side " << tail_side;
+          const eval::CandidateQuery query{
+              tail_side, tail_side ? truth.head : truth.tail, truth.relation};
+          expect_top_k_matches(*session, model, query, positives,
+                               {0, 1, 10, n_k, n_k + 5},
+                               [&](int) { return ids; }, family);
         });
     EXPECT_EQ(sides, 2 * fx.ds.test.size()) << family;
   }
+}
+
+// The filter move under stress: entity rows repeat every 150 ids, so each
+// score occurs four times, and the filter holds 3 of every 4 of each test
+// query's 80 best candidates on both sides. Brute force and the ANN index
+// (one list, then every list) must answer exactly what the oracle does:
+// filter every candidate first, then sort.
+TEST(Serve, FilteredTopKAndRankMatchTheOracleUnderHeavyFiltersAndTies) {
+  constexpr index_t kN = 600, kR = 4, kDistinct = 150;
+  Rng rng(19);
+  const kg::Dataset ds = kg::generate({"serve-ties", kN, kR, 3000}, rng, 0.05,
+                                      0.02);
+  models::ModelSpec spec;
+  spec.family = "TransE";
+  spec.config.dim = 16;
+  spec.seed = 29;
+  auto built = models::make_model(spec, kN, kR);
+  Matrix& table = built->params()[0].mutable_value();
+  for (index_t e = kDistinct; e < kN; ++e)
+    std::copy(table.row(e % kDistinct), table.row(e % kDistinct) + table.cols(),
+              table.row(e));
+  const std::shared_ptr<const models::KgeModel> model(std::move(built));
+
+  std::vector<Triplet> all;
+  for (const TripletStore* split : {&ds.train, &ds.valid, &ds.test})
+    all.insert(all.end(), split->triplets().begin(), split->triplets().end());
+  const auto ids = all_entities(kN);
+  for (const Triplet& truth : ds.test.triplets()) {
+    for (const bool tail_side : {true, false}) {
+      const eval::CandidateQuery query{
+          tail_side, tail_side ? truth.head : truth.tail, truth.relation};
+      const auto best = oracle_top_k(*model, query, ids, Positives{}, 80);
+      for (std::size_t i = 0; i < best.size(); ++i)
+        if (i % 4 != 3) all.push_back(query.candidate(best[i].entity));
+    }
+  }
+  const TripletStore known(kN, kR, all);
+  const Positives positives(all.begin(), all.end());
+  kg::KnownTriplets filter(kN, kR, all.size());
+  filter.add(all);
+
+  serve::SessionOptions so;
+  so.filter = &known;
+  so.ann = serve::AnnMode::kOff;
+  const auto brute = std::make_shared<serve::InferenceSession>(model, so);
+  so.ann = serve::AnnMode::kOn;
+  so.ann_nprobe = 1;
+  const auto narrow = std::make_shared<serve::InferenceSession>(model, so);
+  ASSERT_NE(narrow->snapshot()->ann, nullptr);
+  so.ann_nprobe = static_cast<int>(narrow->snapshot()->ann->k_lists());
+  const auto wide = std::make_shared<serve::InferenceSession>(model, so);
+
+  for (const Triplet& truth : ds.test.triplets()) {
+    for (const bool tail_side : {true, false}) {
+      const eval::CandidateQuery query{
+          tail_side, tail_side ? truth.head : truth.tail, truth.relation};
+      const double expect = oracle_rank(*model, truth, tail_side, positives);
+      EXPECT_EQ(brute->rank(truth, tail_side), expect);
+      EXPECT_EQ(eval::filtered_rank(eval::score_candidates(*model, query),
+                                    query, tail_side ? truth.tail : truth.head,
+                                    model->higher_is_better(), filter),
+                expect);
+      const std::initializer_list<int> ks = {0, 1, 10, 100, kN, kN + 5};
+      expect_top_k_matches(*brute, *model, query, positives, ks,
+                           [&](int) { return ids; }, "brute");
+      expect_top_k_matches(*wide, *model, query, positives, ks,
+                           [&](int) { return ids; }, "ann all lists");
+      expect_top_k_matches(
+          *narrow, *model, query, positives, ks,
+          [&](int k) {
+            return oracle_ann_ids(*narrow->snapshot(), query, 1, k, positives);
+          },
+          "ann one list");
+    }
+  }
+}
+
+TEST(Serve, FilteredBruteTopKProbesOnlyCandidatesThatEnterTheHeap) {
+  // A 2000-entity graph: a top-10 that probed every candidate would count
+  // 2000 filter probes per query; the heap's entrants are a few dozen.
+  Rng rng(23);
+  Fixture fx(kg::generate({"serve-probes", 2000, 4, 6000}, rng, 0.05, 0.1));
+  serve::SessionOptions so;
+  so.filter = &fx.ds.train;
+  so.ann = serve::AnnMode::kOff;
+  auto session = fx.session(so);
+  const index_t n = fx.ds.num_entities();
+  for (const Triplet& q : random_queries(fx.ds, 20, 71)) {
+    profiling::CounterWindow probes(profiling::Counter::kFilterProbes);
+    ASSERT_EQ(session->top_tails(q.head, q.relation, 10).size(), 10u);
+    EXPECT_GE(probes.elapsed(), 10);
+    EXPECT_LT(probes.elapsed(), n / 4);
+  }
+  EXPECT_NE(fx.engine.health_json().find("\"filter_probes\""),
+            std::string::npos);
+}
+
+TEST(Serve, RankBatchAnswersFromOneSnapshotWhilePublishesFlip) {
+  // Two snapshots of one vocabulary with different weights; one thread
+  // flips between them while another ranks batches. Every batch must equal
+  // one version's ranks in full, never a mix.
+  Fixture fx;
+  auto session = fx.session();
+  const auto version = [&](std::uint64_t seed) {
+    models::ModelSpec spec;
+    spec.family = "TransE";
+    spec.config.dim = 16;
+    spec.seed = seed;
+    return serve::make_serving_snapshot(
+        models::make_model(spec, fx.ds.num_entities(), fx.ds.num_relations()),
+        serve::AnnMode::kOff, 0, models::next_snapshot_version());
+  };
+  const auto snap_a = version(41);
+  const auto snap_b = version(42);
+
+  std::vector<Triplet> truths(fx.ds.test.triplets().begin(),
+                              fx.ds.test.triplets().end());
+  session->install(snap_a);
+  const auto ranks_a = session->rank_batch(truths);
+  session->install(snap_b);
+  const auto ranks_b = session->rank_batch(truths);
+  ASSERT_NE(ranks_a, ranks_b) << "the two versions must rank differently";
+
+  std::atomic<bool> stop{false};
+  std::thread flipper([&] {
+    for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i)
+      session->install(i % 2 == 0 ? snap_a : snap_b);
+  });
+  int mixed = 0;
+  for (int round = 0; round < 200; ++round) {
+    const auto got = session->rank_batch(truths);
+    if (got != ranks_a && got != ranks_b) ++mixed;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  flipper.join();
+  EXPECT_EQ(mixed, 0) << "batches answered from two snapshot versions";
 }
 
 TEST(Serve, SemiringFamilyServesHigherIsBetter) {
